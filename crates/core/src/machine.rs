@@ -91,10 +91,12 @@ pub struct Machine {
 
 /// Statistics snapshot used by fast-forward both to measure what one idle
 /// cycle adds and (under `ff_check`) to compare a jumped machine against a
-/// cycle-stepped shadow.
-#[derive(Debug, Clone, PartialEq)]
+/// cycle-stepped shadow. Fixed-size and `Copy`, so arming one every hashed
+/// cycle never allocates: a machine has one or two cores, and a
+/// single-core machine leaves `cores[1]` at its default.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct FfSnapshot {
-    cores: Vec<CoreStats>,
+    cores: [CoreStats; 2],
     queues: [QueueStats; 5],
     mem: MemStats,
     cmp: Option<CmpStats>,
@@ -345,8 +347,12 @@ impl Machine {
     }
 
     fn ff_snapshot(&self) -> FfSnapshot {
+        let mut cores = [CoreStats::default(); 2];
+        for (s, c) in cores.iter_mut().zip(&self.cores) {
+            *s = *c.stats();
+        }
         FfSnapshot {
-            cores: self.cores.iter().map(|c| *c.stats()).collect(),
+            cores,
             queues: self.queues.all_stats(),
             mem: self.mem_sys.stats(),
             cmp: self.cmp.as_ref().map(|c| c.stats()),
@@ -391,7 +397,7 @@ impl Machine {
         // mean none of the intervening cycles changed anything).
         ff.miss_streak = 0;
         let snap = self.ff_snapshot();
-        let Some((armed_at, prev)) = ff.armed.replace((self.now, snap.clone())) else {
+        let Some((armed_at, prev)) = ff.armed.replace((self.now, snap)) else {
             return Ok(());
         };
         // A delta is a true *per-cycle* delta only if the armed snapshot is
@@ -744,7 +750,7 @@ pub struct MachineSnapshot {
 /// Magic bytes opening the on-disk checkpoint format.
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"HDCK";
 /// Version of the on-disk checkpoint format.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 impl Machine {
     /// Captures the complete machine state. Restoring it with

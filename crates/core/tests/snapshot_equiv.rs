@@ -8,7 +8,9 @@
 //! See DESIGN.md, "State snapshots & sampled simulation", for the
 //! invariant this test pins down.
 
+use hidisc::machine::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 use hidisc::{Machine, MachineConfig, Model};
+use hidisc_isa::wire::WireError;
 use hidisc_slicer::{compile, CompiledWorkload, CompilerConfig, ExecEnv};
 use hidisc_workloads::{suite, Scale, Workload};
 use proptest::prelude::*;
@@ -151,6 +153,32 @@ fn checkpoint_header_is_validated() {
     assert!(fresh.load_checkpoint(&garbled, WORKLOAD_ID).is_err());
     // The pristine bytes still load.
     assert!(fresh.load_checkpoint(&bytes, WORKLOAD_ID).is_ok());
+}
+
+/// A checkpoint written by an older wire format (version 1 stored each
+/// RUU entry's wakeup links as one sequence number per operand, duplicates
+/// included) is refused up front with a typed version error — it is never
+/// decoded with the current layout.
+#[test]
+fn checkpoint_from_an_older_format_version_is_refused() {
+    assert_eq!(CHECKPOINT_VERSION, 2);
+    let w = &suite(Scale::Test, 42)[0];
+    let env = env_of(w);
+    let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+    let mut m = Machine::new(Model::HiDisc, &compiled, &env, MachineConfig::paper());
+    m.run_to_cycle(100).unwrap();
+    let mut v1 = m.save_checkpoint(WORKLOAD_ID);
+    assert_eq!(&v1[..4], CHECKPOINT_MAGIC);
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+
+    let mut fresh = Machine::new(Model::HiDisc, &compiled, &env, MachineConfig::paper());
+    assert_eq!(
+        fresh.load_checkpoint(&v1, WORKLOAD_ID),
+        Err(WireError {
+            pos: 4,
+            what: "checkpoint version mismatch",
+        })
+    );
 }
 
 proptest! {

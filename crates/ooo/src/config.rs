@@ -46,9 +46,11 @@ impl Default for Latencies {
 /// for debugging the wakeup bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Wakeup-driven ready list: consumer links registered at dispatch,
-    /// completions drained from a min-heap, issue picks from a sorted
-    /// ready set. O(ready + completions) per cycle.
+    /// Wakeup-driven ready list over RUU slots: each producer slot keeps a
+    /// bitset of the consumer slots registered at dispatch, completions
+    /// drain from a min-heap, and issue picks oldest-first from a ready
+    /// bitset (rotate to the window's front slot, then find-first-set).
+    /// O(ready + completions) per cycle, with no per-cycle allocation.
     #[default]
     ReadyList,
     /// The seed implementation: walk the whole RUU every cycle for issue

@@ -10,7 +10,7 @@ use crate::fu::{latency_of, FuPool};
 use crate::lsq::{queue_opt_code, queue_opt_from, LoadCheck, Lsq, LsqEntry};
 use crate::predictor::Predictor;
 use crate::queues::QueueFile;
-use crate::ruu::{EntryState, Ruu};
+use crate::ruu::{EntryState, Ruu, RuuEntry, SlotSet};
 use crate::stats::CoreStats;
 use hidisc_isa::instr::{FuClass, RegRef, Src, Width};
 use hidisc_isa::interp::{
@@ -23,7 +23,7 @@ use hidisc_isa::{Instr, IsaError, Program, Queue, Result};
 use hidisc_mem::{AccessKind, MemSystem, StridePrefetcher};
 use hidisc_telemetry::{Category, EventData, Telemetry};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Rename-table slots: one per architectural register, integer file first.
 const RENAME_SLOTS: usize = NUM_INT_REGS + NUM_FP_REGS;
@@ -150,10 +150,14 @@ pub struct OooCore {
     /// Ready-list scheduling: last in-flight producer of each register
     /// (O(1) rename lookup; the scan scheduler derives this from the RUU).
     rename: [Option<u64>; RENAME_SLOTS],
-    /// Ready-list scheduling: `Waiting` entries whose operands are all
-    /// available, in age order (`BTreeSet` iterates ascending = oldest
-    /// first, matching the scan scheduler's issue order).
-    ready: BTreeSet<u64>,
+    /// Ready-list scheduling: RUU slots of the `Waiting` entries whose
+    /// operands are all available. Walking it cyclically from the RUU's
+    /// front slot visits them oldest first — the scan scheduler's issue
+    /// order.
+    ready: SlotSet,
+    /// Ready-list scheduling: the issue stage's per-cycle copy of `ready`,
+    /// drained oldest first (kept as a field so issue never allocates).
+    issue_order: SlotSet,
     /// Ready-list scheduling: issued entries keyed by completion time —
     /// `(complete_at, seq)` min-heap. Harvest pops while the top is due;
     /// `next_event` reads the top instead of re-walking the RUU.
@@ -189,7 +193,8 @@ impl OooCore {
             stalled_on: None,
             rpt: cfg.hw_prefetcher.map(StridePrefetcher::new),
             rename: [None; RENAME_SLOTS],
-            ready: BTreeSet::new(),
+            ready: SlotSet::new(cfg.ruu_size as usize),
+            issue_order: SlotSet::new(cfg.ruu_size as usize),
             completions: BinaryHeap::new(),
             fetch_paused: false,
             warm: false,
@@ -390,18 +395,11 @@ impl OooCore {
                         let pc = self.ruu.get(seq).map_or(0, |e| e.pc);
                         trace.emit(EventData::Complete { seq, pc });
                     }
-                    // Consumers registered a link per unavailable operand
-                    // at dispatch; the last producer to complete tips
-                    // `pending_deps` to zero and the consumer becomes
-                    // ready. A consumer is younger than its producer and
-                    // commit is in-order, so it is still in the window.
-                    for c in self.ruu.mark_done(seq) {
-                        let e = self.ruu.get_mut(c).expect("consumer in window");
-                        e.pending_deps -= 1;
-                        if e.pending_deps == 0 {
-                            self.ready.insert(c);
-                        }
-                    }
+                    // Consumers registered one link per distinct
+                    // unavailable producer at dispatch; the last producer
+                    // to complete tips `pending_deps` to zero and the
+                    // consumer's slot joins the ready set.
+                    self.ruu.mark_done(seq, &mut self.ready);
                 }
             }
         }
@@ -770,22 +768,18 @@ impl OooCore {
             ctx.trace.emit(EventData::Dispatch { seq, pc });
         }
 
-        // Wakeup bookkeeping: one link per unavailable operand (a producer
-        // in `deps` is unavailable by construction of `last_producer`). A
-        // duplicated operand registers — and later decrements — twice,
-        // which balances.
+        // Wakeup bookkeeping: one link per *distinct* unavailable producer
+        // (a producer in `deps` is unavailable by construction of
+        // `last_producer`). A duplicated operand sets the same consumer
+        // bit twice, so it is counted — and later woken — once.
         if self.cfg.scheduler == Scheduler::ReadyList {
             let mut pending = 0u8;
             for &d in deps.iter().flatten() {
-                self.ruu
-                    .get_mut(d)
-                    .expect("producer in window")
-                    .consumers
-                    .push(seq);
-                pending += 1;
+                pending += self.ruu.add_consumer(d, seq) as u8;
             }
             if pending == 0 {
-                self.ready.insert(seq);
+                self.ready
+                    .insert(self.ruu.slot_of(seq).expect("just pushed"));
             } else {
                 self.ruu.get_mut(seq).unwrap().pending_deps = pending;
             }
@@ -871,19 +865,22 @@ impl OooCore {
     }
 
     /// Ready-list issue: walk the ready set in age order (the same order
-    /// the scan visits issuable entries). Entries that fail a structural
-    /// check (functional unit, MSHR, blocking store) stay in the set and
-    /// retry; issued entries move to the completion heap.
+    /// the scan visits issuable entries) — rotate to the RUU's front slot,
+    /// then find-first-set. Entries that fail a structural check
+    /// (functional unit, MSHR, blocking store) stay in the set and retry;
+    /// issued entries move to the completion heap. Nothing joins the set
+    /// during issue, so draining a copy visits each member once.
     fn issue_ready(&mut self, ctx: &mut CoreCtx<'_>) {
         let mut budget = self.cfg.issue_width;
-        let mut cursor = 0u64;
+        let front = self.ruu.front_slot();
+        self.issue_order.copy_from(&self.ready);
         while budget > 0 {
-            let Some(&seq) = self.ready.range(cursor..).next() else {
+            let Some(slot) = self.issue_order.pop_first_from(front) else {
                 break;
             };
-            cursor = seq + 1;
+            let seq = self.ruu.seq_at(slot);
             if let Some(complete_at) = self.try_issue(seq, ctx) {
-                self.ready.remove(&seq);
+                self.ready.remove(slot);
                 self.ruu.mark_issued(seq, complete_at);
                 self.completions.push(Reverse((complete_at, seq)));
                 if ctx.trace.on(Category::Pipeline) {
@@ -1369,9 +1366,11 @@ impl OooCore {
                 }
             }
         }
+        // The ready set serialises as ascending sequence numbers.
         e.usize(self.ready.len());
-        for &seq in &self.ready {
-            e.u64(seq);
+        let mut ready = self.ready.clone();
+        while let Some(slot) = ready.pop_first_from(self.ruu.front_slot()) {
+            e.u64(self.ruu.seq_at(slot));
         }
         // The completion heap serialises as a sorted vector so the bytes
         // are deterministic regardless of heap layout.
@@ -1437,16 +1436,36 @@ impl OooCore {
         for slot in self.rename.iter_mut() {
             *slot = if d.bool()? { Some(d.u64()?) } else { None };
         }
+        // Ready entries must be waiting with no pending producer, and
+        // completing entries issued and listed once, or a later cycle would
+        // trip over them.
+        let slot_if = |ruu: &Ruu, seq: u64, ok: fn(&RuuEntry) -> bool, what| {
+            ruu.get(seq)
+                .filter(|e| ok(e))
+                .and(ruu.slot_of(seq))
+                .ok_or(WireError { pos: 0, what })
+        };
         let n = d.usize()?;
         self.ready.clear();
         for _ in 0..n {
-            self.ready.insert(d.u64()?);
+            let ready = |e: &RuuEntry| e.state == EntryState::Waiting && e.pending_deps == 0;
+            let slot = slot_if(&self.ruu, d.u64()?, ready, "ready entry not ready")?;
+            self.ready.insert(slot);
         }
         let n = d.usize()?;
         self.completions.clear();
+        let mut listed = SlotSet::new(self.cfg.ruu_size as usize);
         for _ in 0..n {
             let t = d.u64()?;
             let seq = d.u64()?;
+            let issued = |e: &RuuEntry| e.state == EntryState::Issued;
+            let slot = slot_if(&self.ruu, seq, issued, "completion entry not issued")?;
+            if !listed.insert(slot) {
+                return Err(WireError {
+                    pos: 0,
+                    what: "completion entry listed twice",
+                });
+            }
             self.completions.push(Reverse((t, seq)));
         }
         self.fetch_paused = d.bool()?;

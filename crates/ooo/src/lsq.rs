@@ -122,6 +122,9 @@ pub struct Lsq {
     n_data_known: usize,
     /// Entries with `performed` set (maintained, not scanned).
     n_performed: usize,
+    /// Store entries (maintained, not scanned): with none, every load is
+    /// clear without a walk.
+    n_stores: usize,
 }
 
 impl Lsq {
@@ -132,6 +135,7 @@ impl Lsq {
             capacity,
             n_data_known: 0,
             n_performed: 0,
+            n_stores: 0,
         }
     }
 
@@ -150,30 +154,43 @@ impl Lsq {
         self.entries.is_empty()
     }
 
-    /// Appends an entry (program order). Panics when full (caller checks).
+    /// Appends an entry (program order: `seq` above every entry's).
+    /// Panics when full (caller checks).
     pub fn push(&mut self, e: LsqEntry) {
         assert!(!self.is_full(), "LSQ overflow");
+        debug_assert!(self.entries.back().is_none_or(|b| b.seq < e.seq));
         self.n_data_known += e.data_known as usize;
         self.n_performed += e.performed as usize;
+        self.n_stores += e.is_store as usize;
         self.entries.push_back(e);
+    }
+
+    /// Position of the entry owned by `seq`. Entries are pushed in
+    /// dispatch order, so sequence numbers ascend and a binary search
+    /// finds it.
+    fn position(&self, seq: u64) -> Option<usize> {
+        let i = self.entries.partition_point(|e| e.seq < seq);
+        (self.entries.get(i)?.seq == seq).then_some(i)
     }
 
     /// Looks up by owning sequence number.
     pub fn get(&self, seq: u64) -> Option<&LsqEntry> {
-        self.entries.iter().find(|e| e.seq == seq)
+        self.entries.get(self.position(seq)?)
     }
 
     /// Mutable lookup by owning sequence number.
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut LsqEntry> {
-        self.entries.iter_mut().find(|e| e.seq == seq)
+        let i = self.position(seq)?;
+        self.entries.get_mut(i)
     }
 
     /// Removes the entry owned by `seq` (at commit).
     pub fn remove(&mut self, seq: u64) {
-        if let Some(i) = self.entries.iter().position(|e| e.seq == seq) {
+        if let Some(i) = self.position(seq) {
             let e = self.entries.remove(i).unwrap();
             self.n_data_known -= e.data_known as usize;
             self.n_performed -= e.performed as usize;
+            self.n_stores -= e.is_store as usize;
         }
     }
 
@@ -181,7 +198,8 @@ impl Lsq {
     /// load got its data). Keeps the flag counts exact — callers must use
     /// this instead of flipping the field through `get_mut`.
     pub fn mark_performed(&mut self, seq: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
+        if let Some(i) = self.position(seq) {
+            let e = &mut self.entries[i];
             self.n_performed += !e.performed as usize;
             e.performed = true;
         }
@@ -196,6 +214,9 @@ impl Lsq {
     /// Checks a load at `(addr, width)` with sequence `seq` against older
     /// stores, youngest-first.
     pub fn check_load(&self, seq: u64, addr: u64, width: Width) -> LoadCheck {
+        if self.n_stores == 0 {
+            return LoadCheck::Clear;
+        }
         for e in self.entries.iter().rev() {
             if e.seq >= seq || !e.is_store {
                 continue;
@@ -221,6 +242,9 @@ impl Lsq {
         mut pop: impl FnMut(Queue) -> Option<u64>,
     ) -> usize {
         let mut n = 0;
+        if self.n_data_known == self.entries.len() {
+            return n; // no store is waiting for queue data
+        }
         for e in self.entries.iter_mut() {
             if n >= max {
                 break;
@@ -267,12 +291,20 @@ impl Lsq {
     }
 
     /// Restores from a [`save_state`](Self::save_state) stream; the flag
-    /// counts are recomputed.
+    /// counts are recomputed. More entries than the capacity, or sequence
+    /// numbers out of ascending order, are decode errors.
     pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
         let n = d.usize()?;
+        if n > self.capacity {
+            return Err(WireError {
+                pos: 0,
+                what: "lsq occupancy out of range",
+            });
+        }
         self.entries.clear();
         self.n_data_known = 0;
         self.n_performed = 0;
+        self.n_stores = 0;
         for _ in 0..n {
             let en = LsqEntry {
                 seq: d.u64()?,
@@ -284,8 +316,15 @@ impl Lsq {
                 data_queue: queue_opt_from(d.u8()?)?,
                 performed: d.bool()?,
             };
+            if self.entries.back().is_some_and(|b| b.seq >= en.seq) {
+                return Err(WireError {
+                    pos: 0,
+                    what: "lsq sequence numbers out of order",
+                });
+            }
             self.n_data_known += en.data_known as usize;
             self.n_performed += en.performed as usize;
+            self.n_stores += en.is_store as usize;
             self.entries.push_back(en);
         }
         Ok(())

@@ -51,43 +51,72 @@ fn ready_list_is_stat_identical_under_fast_forward() {
 }
 
 fn compare_schedulers(fast_forward: bool) {
+    compare_models(&Model::ALL, fast_forward, |_| {}, "paper preset");
+}
+
+/// Runs every `Scale::Test` workload on each of `models` under both
+/// schedulers, with `tweak` applied to the configuration, and asserts the
+/// two runs are simulation-identical.
+fn compare_models(
+    models: &[Model],
+    fast_forward: bool,
+    tweak: impl Fn(&mut MachineConfig),
+    what: &str,
+) {
     for w in suite(Scale::Test, 42) {
         let env = env_of(&w);
         let compiled = compile(&w.prog, &env, &CompilerConfig::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
-        for model in Model::ALL {
-            let scan = Machine::new(
-                model,
-                &compiled,
-                &env,
-                config_with(Scheduler::Scan, fast_forward),
-            )
-            .run(compiled.profile.dyn_instrs)
-            .unwrap_or_else(|e| panic!("{}/{model}: scan run failed: {e}", w.name));
-            let ready = Machine::new(
-                model,
-                &compiled,
-                &env,
-                config_with(Scheduler::ReadyList, fast_forward),
-            )
-            .run(compiled.profile.dyn_instrs)
-            .unwrap_or_else(|e| panic!("{}/{model}: ready-list run failed: {e}", w.name));
+        for &model in models {
+            let run = |scheduler| {
+                let mut cfg = config_with(scheduler, fast_forward);
+                tweak(&mut cfg);
+                Machine::new(model, &compiled, &env, cfg)
+                    .run(compiled.profile.dyn_instrs)
+                    .unwrap_or_else(|e| {
+                        panic!("{}/{model} ({what}): {scheduler:?} run failed: {e}", w.name)
+                    })
+            };
+            let scan = run(Scheduler::Scan);
+            let ready = run(Scheduler::ReadyList);
 
             assert_eq!(
                 scan.cycles, ready.cycles,
-                "{}/{model}: cycle count diverged under the ready list (ff={fast_forward})",
+                "{}/{model} ({what}): cycle count diverged under the ready list (ff={fast_forward})",
                 w.name
             );
             assert_eq!(
                 scan.mem_checksum, ready.mem_checksum,
-                "{}/{model}: memory diverged under the ready list (ff={fast_forward})",
+                "{}/{model} ({what}): memory diverged under the ready list (ff={fast_forward})",
                 w.name
             );
             assert!(
                 scan.sim_eq(&ready),
-                "{}/{model}: statistics diverged under the ready list (ff={fast_forward}):\n\
+                "{}/{model} ({what}): statistics diverged under the ready list (ff={fast_forward}):\n\
                  scan: {scan:#?}\nready: {ready:#?}",
                 w.name
+            );
+        }
+    }
+}
+
+/// Non-paper window sizes on the baseline and the decoupled pair: a
+/// single-slot window, one that wraps at a non-power-of-two and two that
+/// need more than one 64-bit word of ready/consumer bitset. Every core of
+/// the machine gets the same `ruu_size`.
+#[test]
+fn ready_list_is_stat_identical_at_odd_window_sizes() {
+    for fast_forward in [false, true] {
+        for ruu_size in [1, 7, 65, 130] {
+            compare_models(
+                &[Model::Superscalar, Model::CpAp],
+                fast_forward,
+                |cfg| {
+                    cfg.superscalar.ruu_size = ruu_size;
+                    cfg.cp.ruu_size = ruu_size;
+                    cfg.ap.ruu_size = ruu_size;
+                },
+                &format!("ruu_size={ruu_size}"),
             );
         }
     }

@@ -91,6 +91,22 @@ fn poll_job(addr: SocketAddr, id: &str) -> Response {
     }
 }
 
+/// Polls job `id` until a worker has picked it up.
+fn wait_until_running(addr: SocketAddr, id: &str) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let r = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+        assert_eq!(r.status, 200, "poll failed: {}", r.body);
+        match json_str(&r.body, "status").expect("status field").as_str() {
+            "running" => return,
+            "queued" => {}
+            other => panic!("job {id} went {other} before it was seen running"),
+        }
+        assert!(Instant::now() < deadline, "job {id} never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 fn metric(addr: SocketAddr, name: &str) -> u64 {
     let r = request(addr, "GET", "/metrics", "");
     assert_eq!(r.status, 200);
@@ -177,10 +193,13 @@ fn full_queue_answers_429_and_deadlines_map_to_timeouts() {
     let svc = start(1, 1, None);
     let addr = svc.addr();
 
-    let long = r#"{"workload":"dm","scale":"large","seed":1,"timeout_ms":400}"#;
+    let long = r#"{"workload":"dm","scale":"large","seed":1}"#;
     let r1 = request(addr, "POST", "/v1/run", long);
     assert_eq!(r1.status, 202, "{}", r1.body);
     let id1 = json_str(&r1.body, "job").unwrap();
+    // Only once the worker has dequeued job 1 is the queue empty again,
+    // so the next submission is the one that fills it.
+    wait_until_running(addr, &id1);
 
     let r2 = request(
         addr,
@@ -201,17 +220,92 @@ fn full_queue_answers_429_and_deadlines_map_to_timeouts() {
     assert!(r3.header("retry-after").is_some(), "Retry-After missing");
     assert!(metric(addr, "hidisc_serve_rejected_total") >= 1);
 
-    // The long job blows its wall-clock budget and reports it as such.
+    // The long job and the queued one both complete once the worker
+    // frees up.
     let done1 = poll_job(addr, &id1);
-    assert_eq!(json_str(&done1.body, "status").as_deref(), Some("error"));
-    let err = json_str(&done1.body, "error").unwrap();
-    assert!(err.contains("wall-clock timeout"), "error was: {err}");
-
-    // The queued job still completes once the worker frees up.
+    assert_eq!(json_str(&done1.body, "status").as_deref(), Some("done"));
     let done2 = poll_job(addr, &id2);
     assert_eq!(json_str(&done2.body, "status").as_deref(), Some("done"));
 
+    // A job that blows its wall-clock budget reports it as such. The
+    // deadline is polled every few thousand simulated cycles and a large
+    // run lasts millions, so a 1 ms budget expires whatever the host or
+    // simulator speed.
+    let short = r#"{"workload":"dm","scale":"large","seed":2,"timeout_ms":1}"#;
+    let r4 = request(addr, "POST", "/v1/run", short);
+    assert_eq!(r4.status, 202, "{}", r4.body);
+    let done4 = poll_job(addr, &json_str(&r4.body, "job").unwrap());
+    assert_eq!(json_str(&done4.body, "status").as_deref(), Some("error"));
+    let err = json_str(&done4.body, "error").unwrap();
+    assert!(err.contains("wall-clock timeout"), "error was: {err}");
+
     svc.shutdown();
+}
+
+/// A warm-start checkpoint left on disk by an older wire format (a
+/// v1-tagged HDCK blob under `<cache-dir>/warm/<key>.ck`) is refused by
+/// the loader: the job runs cold and succeeds with the same stats as a
+/// direct run instead of failing, and the stale file is replaced by a
+/// current checkpoint that a budget variant then restores.
+#[test]
+fn stale_warm_checkpoint_falls_back_to_a_cold_run() {
+    const WARM_AT: u64 = 2_000;
+    let dir = std::env::temp_dir().join(format!("hidisc-serve-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let a = r#"{"workload":"dm","scale":"test","seed":9,"model":"hidisc","max_cycles":500000}"#;
+    let b = r#"{"workload":"dm","scale":"test","seed":9,"model":"hidisc","max_cycles":600000}"#;
+
+    // Plant a real prefix checkpoint for `a`'s warm key, re-tagged as
+    // format version 1.
+    let spec = JobSpec::from_json(a.as_bytes()).expect("spec");
+    let cfg = spec.config().expect("config");
+    let wkey = spec.warm_key(&cfg);
+    let w = hidisc_workloads::by_name(&spec.workload, spec.scale, spec.seed).expect("workload");
+    let env = hidisc_bench::env_of(&w);
+    let compiled = compile(&w.prog, &env, &CompilerConfig::default()).expect("compile");
+    let mut m = hidisc::Machine::new(spec.model, &compiled, &env, cfg);
+    assert!(!m.run_to_cycle(WARM_AT).expect("prefix run"));
+    let mut stale = m.save_warm_checkpoint(wkey);
+    stale[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let ck = dir.join("warm").join(format!("{wkey:016x}.ck"));
+    std::fs::create_dir_all(ck.parent().unwrap()).unwrap();
+    std::fs::write(&ck, &stale).unwrap();
+
+    let svc = Service::start(
+        ServeConfig::builder()
+            .workers(1)
+            .cache_dir(dir.clone())
+            .warm_checkpoint_cycle(WARM_AT)
+            .build()
+            .expect("valid serve config"),
+    )
+    .expect("service start");
+    let addr = svc.addr();
+
+    let r = request(addr, "POST", "/v1/run", a);
+    assert_eq!(r.status, 202, "{}", r.body);
+    let done_a = poll_job(addr, &json_str(&r.body, "job").unwrap());
+    assert_eq!(
+        json_str(&done_a.body, "status").as_deref(),
+        Some("done"),
+        "{}",
+        done_a.body
+    );
+    assert_eq!(stats_of(&done_a.body), direct_stats(a));
+    assert_eq!(metric(addr, "hidisc_serve_warm_restores_total"), 0);
+    assert_ne!(std::fs::read(&ck).unwrap(), stale, "stale checkpoint kept");
+
+    // The rewritten checkpoint is current: the budget variant restores it.
+    let r = request(addr, "POST", "/v1/run", b);
+    assert_eq!(r.status, 202, "{}", r.body);
+    let done_b = poll_job(addr, &json_str(&r.body, "job").unwrap());
+    assert_eq!(json_str(&done_b.body, "status").as_deref(), Some("done"));
+    assert_eq!(metric(addr, "hidisc_serve_warm_restores_total"), 1);
+    assert_eq!(stats_of(&done_b.body), direct_stats(b));
+
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
