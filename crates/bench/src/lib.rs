@@ -19,7 +19,9 @@
 
 #![forbid(unsafe_code)]
 
-use hidisc::telemetry::{Category, ChromeTraceSink, IntervalMetrics, StreamingSink, TraceConfig};
+use hidisc::telemetry::{
+    json_escape, Category, ChromeTraceSink, IntervalMetrics, StreamingSink, TraceConfig,
+};
 use hidisc::{run_model, Machine, MachineConfig, MachineStats, Model};
 use hidisc_slicer::{compile, CompiledWorkload, CompilerConfig, ExecEnv};
 use hidisc_workloads::{suite, Scale, Workload};
@@ -847,20 +849,6 @@ pub fn speculation_workload(
         name: name.to_string(),
         spec: hidisc_verify::speculation(&hidisc_verify::VerifyInput::of(&compiled, depths)),
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl SpecCheckReport {

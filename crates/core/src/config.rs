@@ -68,6 +68,23 @@ impl std::fmt::Display for Model {
     }
 }
 
+impl std::str::FromStr for Model {
+    type Err = String;
+
+    /// Parses a [`Model::name`] case-insensitively (`hidisc`, `CP+AP`);
+    /// the error is the diagnostic the service answers with.
+    fn from_str(s: &str) -> Result<Model, String> {
+        Model::ALL
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| {
+                let names: Vec<String> =
+                    Model::ALL.iter().map(|m| m.name().to_lowercase()).collect();
+                format!("unknown model `{s}` (use {})", names.join("|"))
+            })
+    }
+}
+
 /// Full configuration of one simulated machine.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
@@ -622,6 +639,18 @@ mod tests {
         assert!(Model::HiDisc.is_decoupled());
         assert!(!Model::CpCmp.is_decoupled());
         assert_eq!(Model::ALL.len(), 4);
+    }
+
+    #[test]
+    fn models_parse_back_from_their_names() {
+        for m in Model::ALL {
+            assert_eq!(m.name().parse::<Model>(), Ok(m));
+            assert_eq!(m.name().to_lowercase().parse::<Model>(), Ok(m));
+        }
+        assert_eq!(
+            "vliw".parse::<Model>(),
+            Err("unknown model `vliw` (use superscalar|cp+ap|cp+cmp|hidisc)".to_string())
+        );
     }
 
     #[test]

@@ -237,22 +237,9 @@ fn parse_number(b: &[u8], i: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number `{txt}` at byte {start}"))
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes `s` for embedding inside a JSON string literal (the one
+/// escaper, shared with the telemetry and log writers).
+pub use hidisc_telemetry::json_escape as escape;
 
 #[cfg(test)]
 mod tests {
@@ -311,15 +298,5 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(Json::parse("42.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
-    }
-
-    #[test]
-    fn escape_round_trips_through_parse() {
-        let s = "quote\" slash\\ newline\n tab\t control\u{1}";
-        let doc = format!("{{\"k\":\"{}\"}}", escape(s));
-        assert_eq!(
-            Json::parse(&doc).unwrap().get("k").unwrap().as_str(),
-            Some(s)
-        );
     }
 }

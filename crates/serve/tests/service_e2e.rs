@@ -330,6 +330,25 @@ fn bad_requests_get_typed_400s() {
     assert_eq!(r.status, 400);
     assert!(r.body.contains("unknown field"), "{}", r.body);
 
+    // The issue scheduler is not part of the API: Scan is a Rust-only
+    // test oracle.
+    let r = request(
+        addr,
+        "POST",
+        "/v1/run",
+        r#"{"workload":"dm","scheduler":"scan"}"#,
+    );
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains("unknown field `scheduler`"), "{}", r.body);
+    let r = request(
+        addr,
+        "POST",
+        "/v1/sweep",
+        r#"{"workloads":["dm"],"schedulers":["scan"]}"#,
+    );
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains("unknown field `schedulers`"), "{}", r.body);
+
     // Config validation surfaces the same typed ConfigError message the
     // CLI prints before exiting with code 2, with its stable code as the
     // envelope code.

@@ -49,6 +49,10 @@ pub const MAX_POINTS: usize = 4096;
 /// paper values where absent — the single builder path shared by
 /// `/v1/run`, `/v1/sweep` and the `repro` CLI figure commands, so that
 /// "no overrides" hashes identically everywhere.
+///
+/// No user-facing surface sets `scheduler`: every caller passes `None`
+/// (the ready-list scheduler). `Scheduler::Scan` is reachable only from
+/// Rust config, as the oracle the equivalence tests compare against.
 pub fn build_config(
     l2_lat: Option<u32>,
     mem_lat: Option<u32>,
@@ -170,8 +174,6 @@ pub struct Grid {
     pub latencies: Vec<Option<(u32, u32)>>,
     /// SCQ depth overrides; `None` = paper depth.
     pub scq_depths: Vec<Option<usize>>,
-    /// Issue-scheduler overrides; `None` = paper scheduler.
-    pub schedulers: Vec<Option<Scheduler>>,
     /// Per-point cycle budget, applied to every point (scalar, not an
     /// axis: budgets bound the grid, they are not an experiment axis).
     pub max_cycles: Option<u64>,
@@ -186,7 +188,6 @@ impl Default for Grid {
             seeds: vec![2003],
             latencies: vec![None],
             scq_depths: vec![None],
-            schedulers: vec![None],
             max_cycles: None,
         }
     }
@@ -201,7 +202,6 @@ pub struct Point {
     pub model: Model,
     pub latency: Option<(u32, u32)>,
     pub scq_depth: Option<usize>,
-    pub scheduler: Option<Scheduler>,
     pub max_cycles: Option<u64>,
 }
 
@@ -212,7 +212,7 @@ impl Point {
             self.latency.map(|(l2, _)| l2),
             self.latency.map(|(_, mem)| mem),
             self.scq_depth,
-            self.scheduler,
+            None,
             self.max_cycles,
             0,
         )
@@ -227,7 +227,6 @@ impl Point {
             && self.seed == other.seed
             && self.latency == other.latency
             && self.scq_depth == other.scq_depth
-            && self.scheduler == other.scheduler
             && self.max_cycles == other.max_cycles
     }
 }
@@ -280,7 +279,6 @@ pub fn plan(grid: &Grid) -> Result<Plan, String> {
         ("seeds", grid.seeds.len()),
         ("latencies", grid.latencies.len()),
         ("scq_depths", grid.scq_depths.len()),
-        ("schedulers", grid.schedulers.len()),
     ] {
         if len == 0 {
             return Err(format!(
@@ -295,7 +293,6 @@ pub fn plan(grid: &Grid) -> Result<Plan, String> {
         grid.seeds.len(),
         grid.latencies.len(),
         grid.scq_depths.len(),
-        grid.schedulers.len(),
     ]
     .iter()
     .try_fold(1usize, |acc, &n| {
@@ -310,34 +307,31 @@ pub fn plan(grid: &Grid) -> Result<Plan, String> {
     for workload in &grid.workloads {
         for &latency in &grid.latencies {
             for &scq_depth in &grid.scq_depths {
-                for &scheduler in &grid.schedulers {
-                    for &scale in &grid.scales {
-                        for &seed in &grid.seeds {
-                            for &model in &grid.models {
-                                let point = Point {
-                                    workload: workload.clone(),
-                                    scale,
-                                    seed,
-                                    model,
-                                    latency,
-                                    scq_depth,
-                                    scheduler,
-                                    max_cycles: grid.max_cycles,
-                                };
-                                let cfg = point.config().map_err(|e| e.to_string())?;
-                                let key = job_key(
-                                    &cfg,
-                                    &point.workload,
-                                    point.scale,
-                                    point.seed,
-                                    point.model,
-                                    None,
-                                );
-                                if seen.insert(key) {
-                                    points.push(PlannedPoint { point, cfg, key });
-                                } else {
-                                    duplicates += 1;
-                                }
+                for &scale in &grid.scales {
+                    for &seed in &grid.seeds {
+                        for &model in &grid.models {
+                            let point = Point {
+                                workload: workload.clone(),
+                                scale,
+                                seed,
+                                model,
+                                latency,
+                                scq_depth,
+                                max_cycles: grid.max_cycles,
+                            };
+                            let cfg = point.config().map_err(|e| e.to_string())?;
+                            let key = job_key(
+                                &cfg,
+                                &point.workload,
+                                point.scale,
+                                point.seed,
+                                point.model,
+                                None,
+                            );
+                            if seen.insert(key) {
+                                points.push(PlannedPoint { point, cfg, key });
+                            } else {
+                                duplicates += 1;
                             }
                         }
                     }
@@ -691,6 +685,20 @@ mod tests {
             warm_job_key(&cfg, "dm", Scale::Test, 2003, Model::HiDisc, None),
             base
         );
+    }
+
+    /// Sweep ids name server-side registry entries and are derived from
+    /// point keys that disk caches keep, so a grid must map to the same
+    /// id across releases.
+    #[test]
+    fn sweep_ids_are_stable_golden_values() {
+        let mut g = grid(&["dm", "pointer"]);
+        g.seeds = vec![5];
+        g.latencies = vec![Some((4, 40)), None];
+        g.scq_depths = vec![None, Some(4)];
+        assert_eq!(format!("{:016x}", plan(&g).unwrap().id), "07651ee72e884b75");
+        let suite = plan(&paper_suite_grid(Scale::Test, 2003)).unwrap();
+        assert_eq!(format!("{:016x}", suite.id), "0e98a3814a650d8a");
     }
 
     #[test]

@@ -1338,9 +1338,72 @@ impl TraceSink for MemorySink {
     }
 }
 
+/// Escapes `s` for embedding inside a JSON string literal: the quote,
+/// the backslash and every control character below U+0020; everything
+/// else, non-ASCII included, passes through.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses the body of a JSON string literal (the escapes
+    /// [`json_escape`] emits, plus `\uXXXX` in the Basic Multilingual
+    /// Plane).
+    fn parse_string_body(s: &str) -> String {
+        let mut out = String::new();
+        let mut it = s.chars();
+        while let Some(c) = it.next() {
+            assert!(c >= ' ' && c != '"', "unescaped {c:?} in {s:?}");
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match it.next() {
+                Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
+                Some('t') => out.push('\t'),
+                Some('u') => {
+                    let hex: String = it.by_ref().take(4).collect();
+                    let code = u32::from_str_radix(&hex, 16).expect("four hex digits");
+                    out.push(char::from_u32(code).expect("a scalar value"));
+                }
+                Some(c @ ('"' | '\\' | '/')) => out.push(c),
+                other => panic!("invalid escape {other:?} in {s:?}"),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        let s = "quote\" slash\\ newline\n cr\r tab\t control\u{1} unit-sep\u{1f} \
+                 non-ascii \u{e9}\u{2192}\u{1f980}";
+        assert_eq!(parse_string_body(&json_escape(s)), s);
+        for (raw, escaped) in [
+            ("\u{1}", "\\u0001"),
+            ("\u{1f}", "\\u001f"),
+            ("\r", "\\r"),
+            ("\t", "\\t"),
+            ("\u{e9}\u{2192}\u{1f980}", "\u{e9}\u{2192}\u{1f980}"),
+        ] {
+            assert_eq!(json_escape(raw), escaped, "{raw:?}");
+        }
+    }
 
     #[test]
     fn category_bits_are_distinct() {

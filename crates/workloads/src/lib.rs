@@ -73,6 +73,39 @@ pub enum Scale {
     Large,
 }
 
+impl Scale {
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Test, Scale::Paper, Scale::Large];
+
+    /// The lowercase name the CLI and the HTTP API use.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Paper => "paper",
+            Scale::Large => "large",
+        }
+    }
+}
+
+impl std::fmt::Display for Scale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses a [`Scale::name`]; the error is the diagnostic `repro`
+    /// prints and the service answers with.
+    fn from_str(s: &str) -> Result<Scale, String> {
+        Scale::ALL
+            .into_iter()
+            .find(|scale| scale.name() == s)
+            .ok_or_else(|| format!("unknown scale `{s}` (use test|paper|large)"))
+    }
+}
+
 /// Builds the full seven-benchmark suite in the paper's presentation
 /// order (DM, RayTrace, Pointer, Update, Field, Neighborhood, TC).
 pub fn suite(scale: Scale, seed: u64) -> Vec<Workload> {
@@ -188,6 +221,19 @@ mod tests {
         assert!(by_name("cornerturn", Scale::Test, 1).is_some());
         assert!(by_name("matrix", Scale::Test, 1).is_some());
         assert!(by_name("nope", Scale::Test, 1).is_none());
+    }
+
+    #[test]
+    fn scales_parse_back_from_their_names() {
+        for scale in Scale::ALL {
+            assert_eq!(scale.to_string().parse::<Scale>(), Ok(scale));
+        }
+        assert_eq!(
+            "huge".parse::<Scale>(),
+            Err("unknown scale `huge` (use test|paper|large)".to_string())
+        );
+        // Names are exact: the wire form is lowercase.
+        assert!("Paper".parse::<Scale>().is_err());
     }
 
     #[test]

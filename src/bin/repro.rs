@@ -7,18 +7,19 @@
 //! repro [params|fig8|table2|fig9|fig10|check|ablate|all|serve]
 //!       [--format text|csv] [--scale test|paper|large] [--seed N]
 //!       [--threads N] [--l2-lat N] [--mem-lat N] [--scq-depth N]
-//!       [--scheduler ready|scan]
 //! ```
 //!
 //! Every artifact goes through the [`bench::Report`] trait, so `--format
 //! csv` works for each of them. The machine configuration is assembled
-//! with [`MachineConfig::builder`]; an invalid sweep (`--scq-depth 0`)
-//! exits 2 with the typed [`ConfigError`] message.
+//! by [`hidisc_sweep::build_config`], the builder path `/v1/run` and
+//! `/v1/sweep` share; an invalid sweep (`--scq-depth 0`) exits 2 with the
+//! typed [`hidisc::ConfigError`] message.
 
 use hidisc::telemetry::log::{Level, LogFormat};
 use hidisc::telemetry::TraceConfig;
-use hidisc::{MachineConfig, Model, Scheduler};
+use hidisc::{MachineConfig, Model};
 use hidisc_bench::{self as bench, Report};
+use hidisc_serve::json::Json;
 use hidisc_serve::{ServeConfig, Service};
 use hidisc_workloads::Scale;
 
@@ -32,7 +33,6 @@ struct Args {
     l2_lat: Option<u32>,
     mem_lat: Option<u32>,
     scq_depth: Option<usize>,
-    scheduler: Option<Scheduler>,
     /// `--trace <path>`: write the Chrome-trace JSON here.
     trace_path: Option<String>,
     /// `--trace-filter <cats>`: comma list of categories (or `all`).
@@ -101,7 +101,6 @@ fn parse_args() -> Args {
     let mut l2_lat = None;
     let mut mem_lat = None;
     let mut scq_depth = None;
-    let mut scheduler = None;
     let mut trace_path: Option<String> = None;
     let mut trace_filter = TraceConfig::ALL_EVENTS;
     let mut metrics_interval = 0;
@@ -150,16 +149,10 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                let v = it.next().unwrap_or_default();
-                scale = match v.as_str() {
-                    "test" => Scale::Test,
-                    "paper" => Scale::Paper,
-                    "large" => Scale::Large,
-                    other => {
-                        eprintln!("unknown scale `{other}` (use test|paper|large)");
-                        std::process::exit(2);
-                    }
-                };
+                scale = it.next().unwrap_or_default().parse().unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                });
             }
             "--format" => {
                 let v = it.next().unwrap_or_default();
@@ -169,17 +162,6 @@ fn parse_args() -> Args {
                     "json" => (csv, json) = (false, true),
                     other => {
                         eprintln!("unknown format `{other}` (use text|csv|json)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--scheduler" => {
-                let v = it.next().unwrap_or_default();
-                scheduler = match v.as_str() {
-                    "ready" => Some(Scheduler::ReadyList),
-                    "scan" => Some(Scheduler::Scan),
-                    other => {
-                        eprintln!("unknown scheduler `{other}` (use ready|scan)");
                         std::process::exit(2);
                     }
                 };
@@ -287,7 +269,7 @@ fn parse_args() -> Args {
                      [report|diag|trace|check|telemetry|sample|bisect <workload>] \
                      [--format text|csv|json] [--scale test|paper|large] [--seed N] [--threads N] \
                      [check <workload> [--speculation] [--deny-warnings]] \
-                     [--l2-lat N] [--mem-lat N] [--scq-depth N] [--scheduler ready|scan] \
+                     [--l2-lat N] [--mem-lat N] [--scq-depth N] \
                      [--sample <detail>:<skip>] [--a <l2>:<mem>] [--b <l2>:<mem>] \
                      [--trace <out.json>] [--trace-filter <cat,..|all>] [--metrics-interval N] \
                      [--event-cap N] [--stream] \
@@ -367,7 +349,6 @@ fn parse_args() -> Args {
         l2_lat,
         mem_lat,
         scq_depth,
-        scheduler,
         trace_path,
         trace_filter,
         metrics_interval,
@@ -423,34 +404,11 @@ const COMMANDS: [&str; 22] = [
     "all",
 ];
 
-/// Assembles the machine configuration from the CLI overrides through the
-/// validating builder; a rejected sweep exits 2 with the typed
-/// `ConfigError` message.
-fn build_config(args: &Args) -> MachineConfig {
-    let paper = MachineConfig::paper();
-    let mut b = MachineConfig::builder().latency(
-        args.l2_lat.unwrap_or(paper.mem.l2.latency),
-        args.mem_lat.unwrap_or(paper.mem.mem_latency),
-    );
-    if let Some(depth) = args.scq_depth {
-        let mut q = paper.queues;
-        q.scq = depth;
-        b = b.queues(q);
-    }
-    if let Some(s) = args.scheduler {
-        b = b.scheduler(s);
-    }
-    b.build().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
 /// Assembles the service configuration from the CLI flags through the
 /// validating builder; a rejected configuration (`--workers 0`,
 /// `--idle-timeout-ms 0`, a malformed `--addr`) exits 2 with the typed
 /// [`hidisc_serve::ServeConfigError`] message — the same contract as
-/// [`build_config`] for machine sweeps.
+/// the machine-configuration flags.
 fn build_serve_config(args: &Args) -> ServeConfig {
     let mut b = ServeConfig::builder()
         .addr(
@@ -608,14 +566,9 @@ fn connscale(args: &Args) {
 
 /// The sweep-request JSON for one render target, assembled from the CLI
 /// flags: the paper suite (or fig10's latency pair) at the chosen scale
-/// and seed, with any `--l2-lat`/`--mem-lat`/`--scq-depth`/`--scheduler`
-/// overrides as single-element axes.
+/// and seed, with any `--l2-lat`/`--mem-lat`/`--scq-depth` overrides as
+/// single-element axes.
 fn sweep_body(args: &Args, render: &str) -> String {
-    let scale = match args.scale {
-        Scale::Test => "test",
-        Scale::Paper => "paper",
-        Scale::Large => "large",
-    };
     let mut body = String::from("{\"workloads\":[");
     let workloads: Vec<&str> = if render == "fig10" {
         vec!["pointer", "neighborhood"]
@@ -633,8 +586,8 @@ fn sweep_body(args: &Args, render: &str) -> String {
             .join(","),
     );
     body.push_str(&format!(
-        "],\"scales\":[\"{scale}\"],\"seeds\":[{}]",
-        args.seed
+        "],\"scales\":[\"{}\"],\"seeds\":[{}]",
+        args.scale, args.seed
     ));
     if render == "fig10" {
         let lats: Vec<String> = bench::FIG10_LATENCIES
@@ -653,33 +606,8 @@ fn sweep_body(args: &Args, render: &str) -> String {
     if let Some(depth) = args.scq_depth {
         body.push_str(&format!(",\"scq_depths\":[{depth}]"));
     }
-    if let Some(s) = args.scheduler {
-        let name = match s {
-            Scheduler::ReadyList => "ready",
-            Scheduler::Scan => "scan",
-        };
-        body.push_str(&format!(",\"schedulers\":[\"{name}\"]"));
-    }
     body.push_str(&format!(",\"render\":\"{render}\",\"stream\":true}}"));
     body
-}
-
-/// Extracts `"key":"value"` / `"key":N` from a flat JSON line.
-fn sweep_json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn sweep_json_num(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 /// `repro sweep [fig8|fig9|fig10|table1]`: drive a batch sweep on a
@@ -717,13 +645,17 @@ fn sweep(args: &Args) {
     for line in resp.body.lines() {
         eprintln!("{line}");
     }
-    let first = resp.body.lines().next().unwrap_or_default();
-    let id = sweep_json_str(first, "sweep").unwrap_or_else(|| {
-        eprintln!("the stream carried no sweep id");
-        std::process::exit(1);
-    });
-    let summary = resp.body.lines().last().unwrap_or_default();
-    let failed = sweep_json_num(summary, "failed").unwrap_or(0);
+    let line = |l: Option<&str>| Json::parse(l.unwrap_or_default()).unwrap_or(Json::Null);
+    let header = line(resp.body.lines().next());
+    let id = header
+        .get("sweep")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| {
+            eprintln!("the stream carried no sweep id");
+            std::process::exit(1);
+        });
+    let summary = line(resp.body.lines().last());
+    let failed = summary.get("failed").and_then(Json::as_u64).unwrap_or(0);
     if failed > 0 {
         eprintln!("sweep {id}: {failed} point(s) failed — not rendering");
         std::process::exit(1);
@@ -792,7 +724,11 @@ fn telemetry_streamed(args: &Args, cfg: MachineConfig, trace: TraceConfig, name:
 
 fn main() {
     let args = parse_args();
-    let cfg = build_config(&args);
+    let cfg = hidisc_sweep::build_config(args.l2_lat, args.mem_lat, args.scq_depth, None, None, 0)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     let csv = args.csv;
 
     if args.cmd == "serve" {
