@@ -19,9 +19,7 @@
 
 #![forbid(unsafe_code)]
 
-use hidisc::telemetry::{
-    json_escape, Category, ChromeTraceSink, IntervalMetrics, StreamingSink, TraceConfig,
-};
+use hidisc::telemetry::{json_escape, Category, ChromeTraceSink, IntervalMetrics, TraceConfig};
 use hidisc::{run_model, Machine, MachineConfig, MachineStats, Model};
 use hidisc_slicer::{compile, CompiledWorkload, CompilerConfig, ExecEnv};
 use hidisc_workloads::{suite, Scale, Workload};
@@ -1655,25 +1653,29 @@ pub fn pipeline_trace(name: &str, scale: Scale, seed: u64, cycles: u64) -> Strin
 // Structured telemetry: Chrome-trace export and interval-metrics report
 // ---------------------------------------------------------------------------
 
-/// One traced HiDISC run behind `repro telemetry`: the Chrome-trace JSON
-/// document plus enough bookkeeping to summarise what was recorded.
-#[derive(Debug, Clone)]
-pub struct TelemetryRun {
-    /// Chrome-trace JSON (load into <https://ui.perfetto.dev>).
-    pub json: String,
+/// One traced HiDISC run behind `repro telemetry`: the trace went to the
+/// writer as the machine ran, so the writer comes back with what the
+/// summary needs.
+#[derive(Debug)]
+pub struct TelemetryRun<W> {
+    /// The writer, returned after the document tail was flushed.
+    pub out: W,
     /// End-of-run statistics of the traced machine.
     pub stats: MachineStats,
-    /// Recorded events per category, in [`Category::ALL`] order.
+    /// Exported events per category, in [`Category::ALL`] order.
     pub counts: [u64; 5],
-    /// Events discarded once the recorder's buffer filled.
+    /// Events discarded because one cycle overflowed the buffer before
+    /// it could be drained.
     pub dropped: u64,
     /// The buffer cap the run was recorded under.
     pub cap: usize,
+    /// Bytes of Chrome-trace JSON written to `out`.
+    pub bytes: u64,
     /// Interval metrics, when `trace.metrics_interval > 0`.
     pub metrics: Option<IntervalMetrics>,
 }
 
-impl TelemetryRun {
+impl<W> TelemetryRun<W> {
     /// One summary line per category plus the drop counter — the stderr
     /// companion of the JSON document.
     pub fn summary(&self) -> String {
@@ -1688,77 +1690,19 @@ impl TelemetryRun {
 }
 
 /// Runs one workload on the HiDISC model with the given trace
-/// configuration and exports the recording as Chrome-trace JSON, with the
-/// interval metrics (when sampled) embedded as the `hidiscMetrics` side
-/// table.
-pub fn telemetry_run(
-    name: &str,
-    scale: Scale,
-    seed: u64,
-    mut cfg: MachineConfig,
-    trace: TraceConfig,
-) -> TelemetryRun {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
-    cfg.trace = trace;
-    let mut m = Machine::new(Model::HiDisc, &compiled, &env, cfg);
-    let stats = m
-        .run(compiled.profile.dyn_instrs)
-        .unwrap_or_else(|e| panic!("{} traced run failed: {e}", w.name));
-    let core_names: Vec<&str> = stats.cores.iter().map(|(n, _)| *n).collect();
-    let mut sink = ChromeTraceSink::new(&core_names);
-    let tel = m.telemetry();
-    tel.replay(&mut sink);
-    let mut counts = [0u64; 5];
-    for e in tel.events() {
-        counts[e.data.category() as usize] += 1;
-    }
-    TelemetryRun {
-        json: sink.finish(tel.metrics()),
-        stats,
-        counts,
-        dropped: tel.dropped(),
-        cap: tel.config().event_cap,
-        metrics: tel.metrics().cloned(),
-    }
-}
-
-/// One streamed traced run behind `repro telemetry --stream`: the trace
-/// went to the writer as the machine ran, so only the summary counters
-/// remain here.
-#[derive(Debug)]
-pub struct StreamedRun<W> {
-    /// The writer, returned after the document tail was flushed.
-    pub out: W,
-    /// End-of-run statistics of the traced machine.
-    pub stats: MachineStats,
-    /// Events serialised over the run (flushed batches + final drain).
-    pub streamed_events: u64,
-    /// Events discarded before a flush could happen (only possible when
-    /// one cycle emits more than the whole buffer cap).
-    pub dropped: u64,
-    /// The buffer cap the run streamed under.
-    pub cap: usize,
-    /// Interval metrics, when `trace.metrics_interval > 0`.
-    pub metrics: Option<IntervalMetrics>,
-}
-
-/// Streamed variant of [`telemetry_run`]: the Chrome-trace document is
-/// serialised into `out` *while* the machine runs — the event buffer is
-/// drained at half its cap instead of growing for the whole run, so
-/// arbitrarily long traces stream in bounded memory. The bytes produced
-/// are identical to the buffered exporter's.
-pub fn telemetry_stream<W: std::io::Write>(
+/// configuration and streams the recording into `out` as Chrome-trace
+/// JSON while the machine runs, with the interval metrics (when sampled)
+/// embedded as the `hidiscMetrics` side table. The event buffer is
+/// drained at half its cap, so a trace of any length streams in bounded
+/// memory.
+pub fn telemetry_run<W: std::io::Write>(
     name: &str,
     scale: Scale,
     seed: u64,
     mut cfg: MachineConfig,
     trace: TraceConfig,
     out: W,
-) -> std::io::Result<StreamedRun<W>> {
+) -> std::io::Result<TelemetryRun<W>> {
     let w = hidisc_workloads::by_name(name, scale, seed)
         .unwrap_or_else(|| panic!("unknown workload {name}"));
     let env = env_of(&w);
@@ -1767,23 +1711,20 @@ pub fn telemetry_stream<W: std::io::Write>(
     cfg.trace = trace;
     let mut m = Machine::new(Model::HiDisc, &compiled, &env, cfg);
     let core_names: Vec<&str> = m.snapshots().iter().map(|s| s.name).collect();
-    let mut sink = StreamingSink::new(out, &core_names);
+    let mut sink = ChromeTraceSink::new(out, &core_names);
     let stats = m
         .run_streamed(compiled.profile.dyn_instrs, &mut sink)
-        .unwrap_or_else(|e| panic!("{} streamed run failed: {e}", w.name));
+        .unwrap_or_else(|e| panic!("{} traced run failed: {e}", w.name));
     let tel = m.telemetry();
-    let streamed_events = tel.total_events();
-    let dropped = tel.dropped();
-    let cap = tel.config().event_cap;
-    let metrics = tel.metrics().cloned();
-    let out = sink.finish(tel.metrics())?;
-    Ok(StreamedRun {
-        out,
+    sink.finish(tel.metrics())?;
+    Ok(TelemetryRun {
         stats,
-        streamed_events,
-        dropped,
-        cap,
-        metrics,
+        counts: sink.counts(),
+        dropped: tel.dropped(),
+        cap: tel.config().event_cap,
+        bytes: sink.bytes(),
+        metrics: tel.metrics().cloned(),
+        out: sink.into_inner(),
     })
 }
 
@@ -1965,14 +1906,29 @@ mod telemetry_tests {
     #[test]
     fn telemetry_run_exports_and_summarises() {
         let trace = TraceConfig::ALL_EVENTS.with_metrics_interval(500);
-        let run = telemetry_run("dm", Scale::Test, 7, MachineConfig::paper(), trace);
-        assert!(run.json.starts_with("{\"displayTimeUnit\""));
-        assert!(run.json.contains("\"hidiscMetrics\":"));
+        let run = telemetry_run(
+            "dm",
+            Scale::Test,
+            7,
+            MachineConfig::paper(),
+            trace,
+            Vec::new(),
+        )
+        .expect("writing to a Vec cannot fail");
+        let json = String::from_utf8(run.out.clone()).unwrap();
+        assert!(json.starts_with("{\"displayTimeUnit\""));
+        assert!(json.contains("\"hidiscMetrics\":"));
+        assert_eq!(run.bytes, json.len() as u64);
+        assert_eq!(run.dropped, 0);
         assert!(run.counts[Category::Pipeline as usize] > 0);
         assert!(run.counts[Category::Queue as usize] > 0);
         assert!(
             run.counts[Category::Cmp as usize] > 0,
             "dm forks no threads?"
+        );
+        assert_eq!(
+            run.counts[Category::Pipeline as usize],
+            json.matches("\"cat\":\"pipeline\"").count() as u64
         );
         assert!(run.summary().contains("pipeline"));
         assert!(run.stats.cycles > 0);
@@ -1983,17 +1939,13 @@ mod telemetry_tests {
     }
 
     #[test]
-    fn streamed_trace_is_byte_identical_to_the_buffered_export() {
-        // Buffered: record everything, export at the end.
-        let trace = TraceConfig::ALL_EVENTS.with_metrics_interval(500);
-        let buffered = telemetry_run("dm", Scale::Test, 7, MachineConfig::paper(), trace);
-        assert_eq!(buffered.dropped, 0, "cap too small for this workload");
-
-        // Streamed: small cap so the buffer flushes many times mid-run
-        // (a busy cycle can emit a few dozen events, so the half-cap
-        // flush threshold must stay comfortably above that).
-        let trace = trace.with_event_cap(1024);
-        let streamed = telemetry_stream(
+    fn forced_event_drops_are_counted_and_surfaced() {
+        // The buffer drains at half its cap between cycles, so events
+        // drop only when one cycle emits more than that; a 4-event cap
+        // guarantees it on a busy dm run, and the `repro telemetry`
+        // stderr summary must say so.
+        let trace = TraceConfig::ALL_EVENTS.with_event_cap(4);
+        let run = telemetry_run(
             "dm",
             Scale::Test,
             7,
@@ -2001,31 +1953,12 @@ mod telemetry_tests {
             trace,
             Vec::new(),
         )
-        .expect("stream to a Vec cannot fail");
-        assert_eq!(streamed.dropped, 0, "streaming must flush, not drop");
-        assert!(
-            streamed.streamed_events > 1024,
-            "expected multiple flush batches"
-        );
-        assert!(streamed.stats.sim_eq(&buffered.stats), "runs diverged");
-        assert_eq!(
-            String::from_utf8(streamed.out).unwrap(),
-            buffered.json,
-            "streamed bytes differ from the buffered export"
-        );
-    }
-
-    #[test]
-    fn forced_event_drops_are_counted_and_surfaced() {
-        // A buffered run with a tiny cap must drop events and say so in
-        // the `repro telemetry` stderr summary.
-        let trace = TraceConfig::ALL_EVENTS.with_event_cap(16);
-        let run = telemetry_run("dm", Scale::Test, 7, MachineConfig::paper(), trace);
-        assert!(run.dropped > 0, "a 16-event cap cannot hold a dm run");
-        assert_eq!(run.cap, 16);
+        .expect("writing to a Vec cannot fail");
+        assert!(run.dropped > 0, "a 4-event cap cannot hold a dm cycle");
+        assert_eq!(run.cap, 4);
         assert!(
             run.summary()
-                .contains(&format!("dropped: {} (buffer cap 16)", run.dropped)),
+                .contains(&format!("dropped: {} (buffer cap 4)", run.dropped)),
             "summary was: {}",
             run.summary()
         );

@@ -180,9 +180,10 @@ fn chrome_sink_golden_fixture() {
     tel.set_source(SOURCE_MACHINE);
     tel.emit(EventData::FastForward { skipped: 40 });
 
-    let mut sink = ChromeTraceSink::new(&["CP"]);
-    tel.replay(&mut sink);
-    let got = sink.finish(None);
+    let mut sink = ChromeTraceSink::new(Vec::new(), &["CP"]);
+    tel.drain_into(&mut sink);
+    sink.finish(None).expect("writing to a Vec cannot fail");
+    let got = String::from_utf8(sink.into_inner()).unwrap();
 
     let want = concat!(
         "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
@@ -222,10 +223,13 @@ fn dm_workload_trace_is_valid_and_deterministic() {
 
     let export = || {
         let mut m = Machine::new(Model::HiDisc, &compiled, &env, cfg);
-        let stats = m.run(compiled.profile.dyn_instrs).unwrap();
-        let mut sink = ChromeTraceSink::new(&["CP", "AP"]);
-        m.telemetry().replay(&mut sink);
-        (sink.finish(m.telemetry().metrics()), stats)
+        let mut sink = ChromeTraceSink::new(Vec::new(), &["CP", "AP"]);
+        let stats = m
+            .run_streamed(compiled.profile.dyn_instrs, &mut sink)
+            .unwrap();
+        sink.finish(m.telemetry().metrics())
+            .expect("writing to a Vec cannot fail");
+        (String::from_utf8(sink.into_inner()).unwrap(), stats)
     };
     let (doc, stats) = export();
 

@@ -1,41 +1,111 @@
-//! Content-addressed result cache: completed run results keyed by the
-//! canonical hash of (machine config, workload, scale, seed, model).
-//! In-memory LRU with optional disk persistence, so repeated sweep
-//! points return instantly and results survive a service restart.
+//! Content-addressed two-tier stores: an in-memory LRU over an optional
+//! read-through disk directory. [`ResultCache`] holds completed run
+//! results keyed by the canonical hash of (machine config, workload,
+//! scale, seed, model), so repeated sweep points return instantly and
+//! results survive a service restart; [`CheckpointStore`] holds
+//! warm-start machine snapshots.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-struct Entry {
-    stamp: u64,
-    json: Arc<String>,
+/// A value a [`Store`] can hold: how much of the memory bound it takes
+/// and how it is written to and read back from its `<key>.<EXT>` file.
+pub trait Payload: Sized {
+    /// Extension of the disk-tier files.
+    const EXT: &'static str;
+    /// What one entry counts against the memory bound.
+    fn weight(&self) -> usize;
+    /// The bytes written to disk.
+    fn to_disk(&self) -> &[u8];
+    /// Parses a disk file back; `None` treats the file as absent.
+    fn from_disk(bytes: Vec<u8>) -> Option<Self>;
 }
 
-/// The cache. Not internally synchronised — the service wraps it in the
-/// job-registry mutex.
-///
-/// The memory tier is bounded by **bytes**, not entry count: result
-/// payloads range from a few hundred bytes to the better part of a
-/// megabyte (interval metrics), so an entry-count cap bounds nothing
-/// useful. Past the budget, entries are evicted least-recently-used
-/// first until the total fits again.
-pub struct ResultCache {
-    budget: usize,
-    total_bytes: usize,
+/// Result JSON, bounded by **bytes**: payloads range from a few hundred
+/// bytes to the better part of a megabyte (interval metrics), so an
+/// entry-count cap would bound nothing useful.
+impl Payload for String {
+    const EXT: &'static str = "json";
+    fn weight(&self) -> usize {
+        self.len()
+    }
+    fn to_disk(&self) -> &[u8] {
+        self.as_bytes()
+    }
+    fn from_disk(bytes: Vec<u8>) -> Option<String> {
+        String::from_utf8(bytes).ok()
+    }
+}
+
+/// Binary checkpoints, bounded by entry count.
+impl Payload for Vec<u8> {
+    const EXT: &'static str = "ck";
+    fn weight(&self) -> usize {
+        1
+    }
+    fn to_disk(&self) -> &[u8] {
+        self
+    }
+    fn from_disk(bytes: Vec<u8>) -> Option<Vec<u8>> {
+        Some(bytes)
+    }
+}
+
+struct Entry<P> {
     stamp: u64,
-    map: HashMap<u64, Entry>,
+    value: Arc<P>,
+}
+
+/// The two-tier store. Not internally synchronised — the service wraps
+/// it in a mutex. Past the memory bound, entries are evicted
+/// least-recently-used first until the total fits again; evicted
+/// entries stay reachable through the disk tier.
+pub struct Store<P: Payload> {
+    bound: usize,
+    used: usize,
+    stamp: u64,
+    map: HashMap<u64, Entry<P>>,
     dir: Option<PathBuf>,
 }
 
+/// Completed run results (`<key>.json` files), bounded by bytes.
+pub type ResultCache = Store<String>;
+
+/// Warm-start checkpoint store: post-fast-forward machine snapshots
+/// keyed by [`hidisc::MachineConfig::warm_hash`] extended with the
+/// workload identity (`<key>.ck` files), bounded by entry count. A
+/// restored entry skips the shared run prefix instead of the whole run.
+pub type CheckpointStore = Store<Vec<u8>>;
+
 impl ResultCache {
     /// A cache holding at most `budget` bytes of results in memory
-    /// (at least 1), persisting to `dir` when given (`<key>.json` files;
-    /// created on first insert, read-through on miss).
+    /// (at least 1), persisting to `dir` when given (created on first
+    /// insert, read-through on miss).
     pub fn new(budget: usize, dir: Option<PathBuf>) -> ResultCache {
-        ResultCache {
-            budget: budget.max(1),
-            total_bytes: 0,
+        Store::with_bound(budget, dir)
+    }
+
+    /// Bytes of result payload currently held in memory. Always at most
+    /// the construction budget.
+    pub fn bytes(&self) -> usize {
+        self.used
+    }
+}
+
+impl CheckpointStore {
+    /// A store holding at most `cap` checkpoints in memory (at least 1),
+    /// persisting to `dir` when given.
+    pub fn new(cap: usize, dir: Option<PathBuf>) -> CheckpointStore {
+        Store::with_bound(cap, dir)
+    }
+}
+
+impl<P: Payload> Store<P> {
+    fn with_bound(bound: usize, dir: Option<PathBuf>) -> Store<P> {
+        Store {
+            bound: bound.max(1),
+            used: 0,
             stamp: 0,
             map: HashMap::new(),
             dir,
@@ -48,55 +118,54 @@ impl ResultCache {
     }
 
     fn path_of(&self, key: u64) -> Option<PathBuf> {
+        let ext = P::EXT;
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("{key:016x}.json")))
+            .map(|d| d.join(format!("{key:016x}.{ext}")))
     }
 
     /// Looks `key` up, consulting the disk tier on a memory miss.
     /// Refreshes recency on a hit.
-    pub fn get(&mut self, key: u64) -> Option<Arc<String>> {
+    pub fn get(&mut self, key: u64) -> Option<Arc<P>> {
         let stamp = self.touch();
         if let Some(e) = self.map.get_mut(&key) {
             e.stamp = stamp;
-            return Some(Arc::clone(&e.json));
+            return Some(Arc::clone(&e.value));
         }
         let path = self.path_of(key)?;
-        let json = std::fs::read_to_string(path).ok()?;
-        let json = Arc::new(json);
-        self.insert_memory(key, Arc::clone(&json), stamp);
-        Some(json)
+        let value = Arc::new(P::from_disk(std::fs::read(path).ok()?)?);
+        self.insert_memory(key, Arc::clone(&value), stamp);
+        Some(value)
     }
 
-    /// Inserts a result, persisting it to the disk tier (best-effort —
-    /// a read-only cache directory degrades to memory-only).
-    pub fn insert(&mut self, key: u64, json: Arc<String>) {
+    /// Inserts a value, persisting it to the disk tier (best-effort — a
+    /// read-only directory degrades to memory-only).
+    pub fn insert(&mut self, key: u64, value: Arc<P>) {
         if let Some(path) = self.path_of(key) {
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
             let tmp = path.with_extension("tmp");
-            if std::fs::write(&tmp, json.as_bytes()).is_ok() {
+            if std::fs::write(&tmp, value.to_disk()).is_ok() {
                 let _ = std::fs::rename(&tmp, &path);
             }
         }
         let stamp = self.touch();
-        self.insert_memory(key, json, stamp);
+        self.insert_memory(key, value, stamp);
     }
 
-    fn insert_memory(&mut self, key: u64, json: Arc<String>, stamp: u64) {
-        // A payload bigger than the whole budget never enters the memory
+    fn insert_memory(&mut self, key: u64, value: Arc<P>, stamp: u64) {
+        self.remove(key);
+        // A payload bigger than the whole bound never enters the memory
         // tier (it would immediately evict everything *and* still bust
-        // the budget); it stays reachable through the disk tier.
-        if json.len() > self.budget {
-            self.remove(key);
+        // the bound); it stays reachable through the disk tier.
+        if value.weight() > self.bound {
             return;
         }
-        self.remove(key);
-        self.total_bytes += json.len();
-        self.map.insert(key, Entry { stamp, json });
-        // Evict oldest-first until the total fits the budget again.
-        while self.total_bytes > self.budget {
+        self.used += value.weight();
+        self.map.insert(key, Entry { stamp, value });
+        // Evict oldest-first until the total fits the bound again.
+        while self.used > self.bound {
             let Some((&lru, _)) = self.map.iter().min_by_key(|(_, e)| e.stamp) else {
                 break;
             };
@@ -106,105 +175,11 @@ impl ResultCache {
 
     fn remove(&mut self, key: u64) {
         if let Some(e) = self.map.remove(&key) {
-            self.total_bytes -= e.json.len();
+            self.used -= e.value.weight();
         }
     }
 
-    /// Results currently held in memory.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Bytes of result payload currently held in memory. Always at most
-    /// the construction budget.
-    pub fn bytes(&self) -> usize {
-        self.total_bytes
-    }
-
-    /// True when the memory tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-struct CkEntry {
-    stamp: u64,
-    bytes: Arc<Vec<u8>>,
-}
-
-/// Warm-start checkpoint store: post-fast-forward machine snapshots
-/// keyed by [`hidisc::MachineConfig::warm_hash`] extended with the
-/// workload identity. Same shape as [`ResultCache`] — in-memory LRU with
-/// an optional read-through disk tier — but the payload is the binary
-/// checkpoint (`<key>.ck` files), and a restored entry skips the shared
-/// run prefix instead of the whole run.
-pub struct CheckpointStore {
-    cap: usize,
-    stamp: u64,
-    map: HashMap<u64, CkEntry>,
-    dir: Option<PathBuf>,
-}
-
-impl CheckpointStore {
-    /// A store holding at most `cap` checkpoints in memory (at least 1),
-    /// persisting to `dir` when given.
-    pub fn new(cap: usize, dir: Option<PathBuf>) -> CheckpointStore {
-        CheckpointStore {
-            cap: cap.max(1),
-            stamp: 0,
-            map: HashMap::new(),
-            dir,
-        }
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
-    }
-
-    fn path_of(&self, key: u64) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{key:016x}.ck")))
-    }
-
-    /// Looks `key` up, consulting the disk tier on a memory miss.
-    pub fn get(&mut self, key: u64) -> Option<Arc<Vec<u8>>> {
-        let stamp = self.touch();
-        if let Some(e) = self.map.get_mut(&key) {
-            e.stamp = stamp;
-            return Some(Arc::clone(&e.bytes));
-        }
-        let path = self.path_of(key)?;
-        let bytes = Arc::new(std::fs::read(path).ok()?);
-        self.insert_memory(key, Arc::clone(&bytes), stamp);
-        Some(bytes)
-    }
-
-    /// Inserts a checkpoint, persisting it to the disk tier (best-effort;
-    /// a read-only directory degrades to memory-only).
-    pub fn insert(&mut self, key: u64, bytes: Arc<Vec<u8>>) {
-        if let Some(path) = self.path_of(key) {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            let tmp = path.with_extension("tmp");
-            if std::fs::write(&tmp, bytes.as_slice()).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
-            }
-        }
-        let stamp = self.touch();
-        self.insert_memory(key, bytes, stamp);
-    }
-
-    fn insert_memory(&mut self, key: u64, bytes: Arc<Vec<u8>>, stamp: u64) {
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            if let Some((&lru, _)) = self.map.iter().min_by_key(|(_, e)| e.stamp) {
-                self.map.remove(&lru);
-            }
-        }
-        self.map.insert(key, CkEntry { stamp, bytes });
-    }
-
-    /// Checkpoints currently held in memory.
+    /// Entries currently held in memory.
     pub fn len(&self) -> usize {
         self.map.len()
     }

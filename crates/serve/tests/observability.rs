@@ -5,99 +5,13 @@
 //! text exposition (HELP/TYPE per family, cumulative monotone histogram
 //! buckets, `le="+Inf"` equal to `_count`).
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+mod common;
 
+use std::collections::{BTreeMap, HashMap};
+
+use common::{json_str, poll_job, request, request_with};
 use hidisc::telemetry::log::{Level, LogFormat};
 use hidisc_serve::{ServeConfig, Service};
-
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn request_id(&self) -> &str {
-        self.header("x-request-id").expect("X-Request-Id header")
-    }
-}
-
-/// One `Connection: close` request with optional extra header lines
-/// (each "Name: value", no CRLF).
-fn request_with(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    extra_headers: &[&str],
-    body: &str,
-) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut req = format!("{method} {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n");
-    for h in extra_headers {
-        req.push_str(h);
-        req.push_str("\r\n");
-    }
-    req.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let raw = String::from_utf8(raw).expect("UTF-8 response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Response {
-        status,
-        headers,
-        body: body.to_string(),
-    }
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    request_with(addr, method, path, &[], body)
-}
-
-fn json_str(body: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = body.find(&pat)? + pat.len();
-    let end = body[start..].find('"')? + start;
-    Some(body[start..end].to_string())
-}
-
-fn poll_job(addr: SocketAddr, id: &str) -> Response {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let r = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
-        assert_eq!(r.status, 200, "poll failed: {}", r.body);
-        let status = json_str(&r.body, "status").expect("status field");
-        if status == "done" || status == "error" {
-            return r;
-        }
-        assert!(Instant::now() < deadline, "job {id} never finished");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
 
 /// The request id is minted once per request and travels everywhere: the
 /// response header, the job body, the job record, the error envelope and

@@ -5,90 +5,20 @@
 //! typed 400s for bad requests, and disk-cache persistence across a
 //! service restart.
 
-use std::io::{Read, Write};
+mod common;
+
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use common::{json_str, metric, poll_job, request, Response};
 use hidisc_serve::{JobSpec, ServeConfig, Service};
 use hidisc_slicer::{compile, CompilerConfig};
-
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    // `Connection: close` because this helper reads to EOF; the
-    // keep-alive path is covered by tests/keepalive.rs.
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("write request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let raw = String::from_utf8(raw).expect("UTF-8 response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().expect("status line");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {status_line}"));
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Response {
-        status,
-        headers,
-        body: body.to_string(),
-    }
-}
-
-fn json_str(body: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = body.find(&pat)? + pat.len();
-    let end = body[start..].find('"')? + start;
-    Some(body[start..end].to_string())
-}
 
 /// The raw `"stats"` object of a job body (it is always the last field).
 fn stats_of(body: &str) -> &str {
     let idx = body.find(",\"stats\":").expect("body has stats") + ",\"stats\":".len();
     let end = body.trim_end().len() - 1; // strip the closing `}` of the envelope
     &body[idx..end]
-}
-
-fn poll_job(addr: SocketAddr, id: &str) -> Response {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let r = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
-        assert_eq!(r.status, 200, "poll failed: {}", r.body);
-        let status = json_str(&r.body, "status").expect("status field");
-        if status == "done" || status == "error" {
-            return r;
-        }
-        assert!(Instant::now() < deadline, "job {id} never finished");
-        std::thread::sleep(Duration::from_millis(20));
-    }
 }
 
 /// Polls job `id` until a worker has picked it up.
@@ -105,16 +35,6 @@ fn wait_until_running(addr: SocketAddr, id: &str) {
         assert!(Instant::now() < deadline, "job {id} never started");
         std::thread::sleep(Duration::from_millis(2));
     }
-}
-
-fn metric(addr: SocketAddr, name: &str) -> u64 {
-    let r = request(addr, "GET", "/metrics", "");
-    assert_eq!(r.status, 200);
-    r.body
-        .lines()
-        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-        .and_then(|l| l[name.len() + 1..].parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing from:\n{}", r.body))
 }
 
 fn start(workers: usize, queue_depth: usize, cache_dir: Option<std::path::PathBuf>) -> Service {

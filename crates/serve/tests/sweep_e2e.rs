@@ -5,9 +5,12 @@
 //! single node (and to a direct in-process computation), and a dead
 //! shard degrades to local fallback instead of failing the sweep.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use common::{json_num, json_str, metric, poll_sweep};
 use hidisc_bench::{fig8, run_suite, Fig8Report, Report};
 use hidisc_serve::client::http_request;
 use hidisc_serve::{ServeConfig, Service};
@@ -23,46 +26,6 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
     )
     .expect("request");
     (r.status, r.body)
-}
-
-fn json_str(body: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = body.find(&pat)? + pat.len();
-    let end = body[start..].find('"')? + start;
-    Some(body[start..end].to_string())
-}
-
-fn json_num(body: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = body.find(&pat)? + pat.len();
-    let end = body[start..]
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(body.len() - start)
-        + start;
-    body[start..end].parse().ok()
-}
-
-/// Polls `GET /v1/sweeps/<id>` until the sweep reports `done`.
-fn poll_sweep(addr: SocketAddr, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, body) = request(addr, "GET", &format!("/v1/sweeps/{id}"), "");
-        assert_eq!(status, 200, "poll failed: {body}");
-        if json_str(&body, "status").as_deref() == Some("done") {
-            return body;
-        }
-        assert!(Instant::now() < deadline, "sweep {id} never finished");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn metric(addr: SocketAddr, name: &str) -> u64 {
-    let (status, body) = request(addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
-    body.lines()
-        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-        .and_then(|l| l[name.len() + 1..].parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing from:\n{body}"))
 }
 
 fn start_plain() -> Service {

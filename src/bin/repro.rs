@@ -39,11 +39,6 @@ struct Args {
     trace_filter: TraceConfig,
     /// `--metrics-interval <cycles>`: interval-metrics sampling (0 off).
     metrics_interval: u64,
-    /// `--event-cap <n>`: telemetry buffer cap (events past it drop).
-    event_cap: Option<usize>,
-    /// `--stream`: serialise the trace while the machine runs instead of
-    /// buffering the whole recording.
-    stream: bool,
     /// `serve --addr <host:port>` (default 127.0.0.1:8080).
     addr: Option<String>,
     /// `serve --workers <n>` (0 = one per host core).
@@ -104,8 +99,6 @@ fn parse_args() -> Args {
     let mut trace_path: Option<String> = None;
     let mut trace_filter = TraceConfig::ALL_EVENTS;
     let mut metrics_interval = 0;
-    let mut event_cap = None;
-    let mut stream = false;
     let mut addr = None;
     let mut workers = 0;
     let mut queue_depth = 32;
@@ -180,8 +173,6 @@ fn parse_args() -> Args {
                 });
             }
             "--metrics-interval" => metrics_interval = num(&mut it, "--metrics-interval"),
-            "--event-cap" => event_cap = Some(num(&mut it, "--event-cap") as usize),
-            "--stream" => stream = true,
             "--seed" => seed = num(&mut it, "--seed"),
             "--l2-lat" => l2_lat = Some(num(&mut it, "--l2-lat") as u32),
             "--mem-lat" => mem_lat = Some(num(&mut it, "--mem-lat") as u32),
@@ -272,7 +263,6 @@ fn parse_args() -> Args {
                      [--l2-lat N] [--mem-lat N] [--scq-depth N] \
                      [--sample <detail>:<skip>] [--a <l2>:<mem>] [--b <l2>:<mem>] \
                      [--trace <out.json>] [--trace-filter <cat,..|all>] [--metrics-interval N] \
-                     [--event-cap N] [--stream] \
                      [serve --addr <host:port> --workers N --queue-depth N --cache-dir <dir> \
                      --max-conns N --cache-bytes N --idle-timeout-ms N \
                      --log-level off|error|warn|info|debug --log-format text|json \
@@ -320,10 +310,6 @@ fn parse_args() -> Args {
         eprintln!("command `{cmd}` takes no argument (see --help)");
         std::process::exit(2);
     }
-    if stream && cmd != "telemetry" {
-        eprintln!("--stream only applies to the telemetry command");
-        std::process::exit(2);
-    }
     if json && cmd != "simspeed" && !(cmd == "check" && speculation) {
         eprintln!("--format json only applies to simspeed and check --speculation");
         std::process::exit(2);
@@ -352,8 +338,6 @@ fn parse_args() -> Args {
         trace_path,
         trace_filter,
         metrics_interval,
-        event_cap,
-        stream,
         addr,
         workers,
         queue_depth,
@@ -676,52 +660,6 @@ fn sweep(args: &Args) {
     print!("{}", rendered.body);
 }
 
-/// `repro telemetry --stream`: serialise the trace while the machine
-/// runs (bounded memory at any trace length).
-fn telemetry_streamed(args: &Args, cfg: MachineConfig, trace: TraceConfig, name: &str) {
-    fn summary<W>(run: &bench::StreamedRun<W>) -> String {
-        format!(
-            "streamed {} event(s), dropped {} (buffer cap {})\n",
-            run.streamed_events, run.dropped, run.cap
-        )
-    }
-    match &args.trace_path {
-        Some(path) => {
-            let file = std::fs::File::create(path).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            let out = std::io::BufWriter::new(file);
-            let run = bench::telemetry_stream(name, args.scale, args.seed, cfg, trace, out)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(2);
-                });
-            eprint!("{}", summary(&run));
-            eprintln!("wrote {path} — load it at https://ui.perfetto.dev");
-            if let Some(m) = run.metrics {
-                print!("{}", bench::MetricsReport(m).render(args.csv));
-            }
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let run = bench::telemetry_stream(
-                name,
-                args.scale,
-                args.seed,
-                cfg,
-                trace,
-                std::io::BufWriter::new(stdout.lock()),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot write the trace to stdout: {e}");
-                std::process::exit(2);
-            });
-            eprint!("{}", summary(&run));
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
     let cfg = hidisc_sweep::build_config(args.l2_lat, args.mem_lat, args.scq_depth, None, None, 0)
@@ -854,41 +792,38 @@ fn main() {
         }
         "telemetry" => {
             let name = args.arg.as_deref().unwrap_or("pointer");
-            let mut trace = args
+            let trace = args
                 .trace_filter
                 .with_metrics_interval(args.metrics_interval);
-            if let Some(cap) = args.event_cap {
-                trace = trace.with_event_cap(cap);
-            }
             eprintln!(
-                "tracing {name} on HiDISC (scale {:?}, seed {}, mask {:#07b}, interval {}{})...",
-                args.scale,
-                args.seed,
-                trace.mask,
-                trace.metrics_interval,
-                if args.stream { ", streamed" } else { "" }
+                "tracing {name} on HiDISC (scale {:?}, seed {}, mask {:#07b}, interval {})...",
+                args.scale, args.seed, trace.mask, trace.metrics_interval
             );
-            if args.stream {
-                telemetry_streamed(&args, cfg, trace, name);
-                return;
-            }
-            let run = bench::telemetry_run(name, args.scale, args.seed, cfg, trace);
-            eprint!("{}", run.summary());
-            if let Some(path) = &args.trace_path {
-                std::fs::write(path, &run.json).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
+            let (out, dest): (Box<dyn std::io::Write>, &str) = match &args.trace_path {
+                Some(path) => {
+                    let file = std::fs::File::create(path).unwrap_or_else(|e| {
+                        eprintln!("cannot write {path}: {e}");
+                        std::process::exit(2);
+                    });
+                    (Box::new(file), path)
+                }
+                None => (Box::new(std::io::stdout().lock()), "the trace to stdout"),
+            };
+            let out = std::io::BufWriter::new(out);
+            let run = bench::telemetry_run(name, args.scale, args.seed, cfg, trace, out)
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot write {dest}: {e}");
                     std::process::exit(2);
                 });
+            eprint!("{}", run.summary());
+            if args.trace_path.is_some() {
                 eprintln!(
-                    "wrote {path} ({} bytes) — load it at https://ui.perfetto.dev",
-                    run.json.len()
+                    "wrote {dest} ({} bytes) — load it at https://ui.perfetto.dev",
+                    run.bytes
                 );
                 if let Some(m) = run.metrics {
                     print!("{}", bench::MetricsReport(m).render(csv));
                 }
-            } else {
-                // JSON to stdout; it embeds the metrics side table already.
-                print!("{}", run.json);
             }
         }
         "micro" => {
