@@ -78,6 +78,7 @@ pub mod http;
 pub mod json;
 mod net;
 pub(crate) mod obs;
+mod prepared;
 mod reactor;
 pub mod scale;
 pub(crate) mod sweeps;
@@ -86,6 +87,7 @@ use cache::{CheckpointStore, ResultCache};
 use json::{escape, Json};
 use net::Reply;
 use obs::{HttpMetrics, JobPhase};
+use prepared::{Prepared, PreparedStore, WorkloadKey, PREPARED_BYTES};
 
 /// Crate version baked into `/healthz` and `hidisc_build_info`.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -838,6 +840,8 @@ pub(crate) struct State {
     /// `run_simulation`, which must not hold the registry lock.
     warm: Mutex<CheckpointStore>,
     warm_checkpoint_cycle: u64,
+    /// Sliced workload instances shared by every job that runs them.
+    prepared: PreparedStore,
     workers: Mutex<Option<Workers>>,
     pub(crate) counters: Counters,
     metrics: Mutex<Option<IntervalMetrics>>,
@@ -894,6 +898,7 @@ impl Service {
                 cfg.cache_dir.as_ref().map(|d| d.join("warm")),
             )),
             warm_checkpoint_cycle: cfg.warm_checkpoint_cycle,
+            prepared: PreparedStore::new(PREPARED_BYTES),
             workers: Mutex::new(Some(Workers::new(cfg.workers(), cfg.queue_depth()))),
             counters: Counters::default(),
             metrics: Mutex::new(None),
@@ -1223,28 +1228,52 @@ fn custom_env() -> hidisc_slicer::ExecEnv {
 /// anywhere near the worker pool. The rejection — served
 /// as `400` — carries the verifier's diagnostic code (e.g. `QB004`) as
 /// the envelope code and its first error diagnostic as the message.
-/// Named workloads skip this: their slices are covered by the verifier's
-/// own suite-wide property tests.
-fn preflight(spec: &JobSpec, cfg: &MachineConfig) -> Result<(), (&'static str, String)> {
+/// An accepted program's sliced instance goes into the prepared store,
+/// where the worker finds it; a rejected one is never stored. A program
+/// already stored is only re-verified against this job's queue depths
+/// (deadlock freedom, `DB002`, depends on them). Named workloads skip
+/// this: their slices are covered by the verifier's own suite-wide
+/// property tests.
+fn preflight(
+    store: &PreparedStore,
+    spec: &JobSpec,
+    cfg: &MachineConfig,
+) -> Result<(), (&'static str, String)> {
     let Some(src) = &spec.program else {
         return Ok(());
     };
-    let prog = hidisc_isa::asm::assemble(&spec.workload, src)
-        .map_err(|e| ("bad_request", format!("program does not assemble: {e}")))?;
     let depths = hidisc_bench::depths_of(cfg);
-    hidisc_verify::compile_verified(&prog, &custom_env(), &CompilerConfig::default(), depths)
-        .map(|_| ())
-        .map_err(|e| {
-            let code = match &e {
-                hidisc_verify::VerifyError::Rejected(r) => r
-                    .errors()
-                    .next()
-                    .map(|d| d.code.as_str())
-                    .unwrap_or("bad_request"),
-                hidisc_verify::VerifyError::Compile(_) => "bad_request",
-            };
-            (code, e.to_string())
-        })
+    let mut verified = false;
+    let p = store.get_or_build(&WorkloadKey::of(spec), || {
+        verified = true;
+        let prog = hidisc_isa::asm::assemble(&spec.workload, src)
+            .map_err(|e| ("bad_request", format!("program does not assemble: {e}")))?;
+        let env = custom_env();
+        hidisc_verify::compile_verified(&prog, &env, &CompilerConfig::default(), depths)
+            .map(|(compiled, _)| Prepared { compiled, env })
+            .map_err(|e| {
+                let code = match &e {
+                    hidisc_verify::VerifyError::Rejected(r) => r
+                        .errors()
+                        .next()
+                        .map(|d| d.code.as_str())
+                        .unwrap_or("bad_request"),
+                    hidisc_verify::VerifyError::Compile(_) => "bad_request",
+                };
+                (code, e.to_string())
+            })
+    })?;
+    if !verified {
+        let report = hidisc_verify::verify(&hidisc_verify::VerifyInput::of(&p.compiled, depths));
+        let first = report
+            .errors()
+            .next()
+            .map(|d| (d.code.as_str(), d.to_string()));
+        if let Some(rejection) = first {
+            return Err(rejection);
+        }
+    }
+    Ok(())
 }
 
 fn post_run(state: &Arc<State>, body: &[u8], rid: &str) -> Reply {
@@ -1265,7 +1294,7 @@ fn post_run(state: &Arc<State>, body: &[u8], rid: &str) -> Reply {
             return error_reply(400, e.code(), &e.to_string(), rid);
         }
     };
-    if let Err((code, msg)) = preflight(&spec, &cfg) {
+    if let Err((code, msg)) = preflight(&state.prepared, &spec, &cfg) {
         state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
         return error_reply(400, code, &msg, rid);
     }
@@ -1508,7 +1537,7 @@ fn execute_job(
     let started = Instant::now();
     let warm =
         (state.warm_checkpoint_cycle > 0).then_some((&state.warm, state.warm_checkpoint_cycle));
-    let outcome = run_simulation(&spec, cfg, warm);
+    let outcome = run_simulation(&spec, cfg, &state.prepared, warm);
     let sim = started.elapsed();
     state.http.record_phase(JobPhase::SimRun, sim);
     let wall_ms = sim.as_millis() as u64;
@@ -1586,30 +1615,35 @@ struct RunOutcome {
     warm_restored: bool,
 }
 
-fn run_simulation(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-    warm: Option<(&Mutex<CheckpointStore>, u64)>,
-) -> Result<RunOutcome, String> {
-    let (compiled, env) = match &spec.program {
+/// Generates (or assembles) a job's workload instance and slices it.
+fn build_instance(spec: &JobSpec) -> Result<Prepared, String> {
+    let (prog, env) = match &spec.program {
         Some(src) => {
             let prog = hidisc_isa::asm::assemble(&spec.workload, src)
                 .map_err(|e| format!("program does not assemble: {e}"))?;
-            let env = custom_env();
-            let compiled = compile(&prog, &env, &CompilerConfig::default())
-                .map_err(|e| format!("compile failed: {e}"))?;
-            (compiled, env)
+            (prog, custom_env())
         }
         None => {
             let w = hidisc_workloads::by_name(&spec.workload, spec.scale, spec.seed)
                 .ok_or_else(|| format!("unknown workload `{}`", spec.workload))?;
             let env = hidisc_bench::env_of(&w);
-            let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-                .map_err(|e| format!("compile failed: {e}"))?;
-            (compiled, env)
+            (w.prog, env)
         }
     };
-    let mut m = Machine::new(spec.model, &compiled, &env, cfg);
+    let compiled = compile(&prog, &env, &CompilerConfig::default())
+        .map_err(|e| format!("compile failed: {e}"))?;
+    Ok(Prepared { compiled, env })
+}
+
+fn run_simulation(
+    spec: &JobSpec,
+    cfg: MachineConfig,
+    prepared: &PreparedStore,
+    warm: Option<(&Mutex<CheckpointStore>, u64)>,
+) -> Result<RunOutcome, String> {
+    let p = prepared.get_or_build(&WorkloadKey::of(spec), || build_instance(spec))?;
+    let (compiled, env) = (&p.compiled, &p.env);
+    let mut m = Machine::new(spec.model, compiled, env, cfg);
     let mut warm_restored = false;
     if let Some((store, warm_at)) = warm {
         let wkey = spec.warm_key(&cfg);
@@ -1621,12 +1655,17 @@ fn run_simulation(
                 // bump): a failed load may leave partial state, so
                 // rebuild the machine and run cold. The prefix run below
                 // overwrites the bad entry.
-                m = Machine::new(spec.model, &compiled, &env, cfg);
+                m = Machine::new(spec.model, compiled, env, cfg);
             }
         }
-        // Jobs whose cycle budget ends inside the prefix run cold — their
-        // entire run is shorter than the shared portion.
-        if !warm_restored && cfg.max_cycles > warm_at {
+        // Only a budgeted job can have a sibling that shares its prefix:
+        // equal warm keys with different job keys differ in `max_cycles`,
+        // and a `timeout_ms` job that times out fails, so its resubmission
+        // runs again under the same warm key. Jobs whose cycle budget ends
+        // inside the prefix run cold — their entire run is shorter than
+        // the shared portion.
+        let budgeted = spec.max_cycles.is_some() || spec.timeout_ms.is_some();
+        if budgeted && !warm_restored && cfg.max_cycles > warm_at {
             match m.run_to_cycle(warm_at) {
                 // Stopped at the boundary mid-run: this prefix is common
                 // to every budget variant of the experiment — save it.
@@ -1677,7 +1716,7 @@ fn run_simulation(
 fn render_metrics(state: &Arc<State>) -> String {
     let c = &state.counters;
     let mut s = String::new();
-    let counters: [(&str, &str, u64); 16] = [
+    let counters: [(&str, &str, u64); 17] = [
         (
             "hidisc_serve_requests_total",
             "HTTP requests routed.",
@@ -1732,6 +1771,11 @@ fn render_metrics(state: &Arc<State>) -> String {
             "hidisc_serve_bad_requests_total",
             "Requests rejected as malformed (parse or validation).",
             c.bad_requests.load(Ordering::Relaxed),
+        ),
+        (
+            "hidisc_serve_workload_builds_total",
+            "Workload instances generated and sliced into the prepared store.",
+            state.prepared.builds(),
         ),
         (
             "hidisc_serve_warm_restores_total",
@@ -1941,23 +1985,29 @@ mod tests {
         let spec = JobSpec::from_json(br#"{"program":"li r1, 64\nsd r1, 0(r1)\nhalt"}"#).unwrap();
         assert_eq!(spec.workload, "custom");
         let cfg = spec.config().unwrap();
-        assert!(preflight(&spec, &cfg).is_ok());
+        let store = PreparedStore::new(PREPARED_BYTES);
+        assert!(preflight(&store, &spec, &cfg).is_ok());
+        // A resubmission re-verifies the stored instance, slicing nothing.
+        assert!(preflight(&store, &spec, &cfg).is_ok());
+        assert_eq!(store.builds(), 1);
 
         // A program operating on an architectural queue is rejected with
         // the verifier's located diagnostic, code and all.
         let bad = JobSpec::from_json(br#"{"program":"li r1, 1\nsend LDQ, r1\nhalt"}"#).unwrap();
-        let (code, msg) = preflight(&bad, &bad.config().unwrap()).unwrap_err();
+        let (code, msg) = preflight(&store, &bad, &bad.config().unwrap()).unwrap_err();
         assert_eq!(code, "QB004");
         assert!(msg.contains("QB004"), "{msg}");
         assert!(msg.contains("orig@1"), "{msg}");
 
         // Assembly errors surface as 400s too.
         let nosyntax = JobSpec::from_json(br#"{"program":"frobnicate r1"}"#).unwrap();
-        assert!(preflight(&nosyntax, &nosyntax.config().unwrap()).is_err());
+        assert!(preflight(&store, &nosyntax, &nosyntax.config().unwrap()).is_err());
 
         // Named workloads skip the pre-flight.
         let named = JobSpec::from_json(br#"{"workload":"dm"}"#).unwrap();
-        assert!(preflight(&named, &named.config().unwrap()).is_ok());
+        assert!(preflight(&store, &named, &named.config().unwrap()).is_ok());
+        // Only the accepted program was sliced and stored.
+        assert_eq!(store.builds(), 1);
 
         // The source cap is enforced at parse time.
         let huge = format!(

@@ -10,7 +10,7 @@ mod common;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use common::{json_str, metric, poll_job, request, Response};
+use common::{json_num, json_str, metric, poll_job, poll_sweep, request, Response};
 use hidisc_serve::{JobSpec, ServeConfig, Service};
 use hidisc_slicer::{compile, CompilerConfig};
 
@@ -493,4 +493,119 @@ fn verifier_rejected_program_answers_400_with_the_diagnostic() {
     assert_eq!(r.status, 200, "{}", r.body);
     assert!(r.body.contains("\"cached\":true"), "{}", r.body);
     svc.shutdown();
+}
+
+/// The `/v1/run` body for one test-scale `dm` job.
+fn dm_body(seed: u64, model: &str, lat: Option<(u32, u32)>) -> String {
+    let lat = lat
+        .map(|(l2, mem)| format!(",\"l2_lat\":{l2},\"mem_lat\":{mem}"))
+        .unwrap_or_default();
+    format!(r#"{{"workload":"dm","scale":"test","seed":{seed},"model":"{model}"{lat}}}"#)
+}
+
+/// Every model of one workload instance, submitted at once, and a sweep
+/// over the same instance at another latency point generate and slice
+/// it once; every result is byte-identical to a direct run. A second
+/// seed is a second instance.
+#[test]
+fn one_workload_instance_is_built_once_for_every_model_and_sweep_point() {
+    const MODELS: [&str; 4] = ["superscalar", "cp+ap", "cp+cmp", "hidisc"];
+    let svc = start(2, 16, None);
+    let addr = svc.addr();
+
+    let bodies: Vec<String> = MODELS.iter().map(|m| dm_body(11, m, None)).collect();
+    let ids: Vec<String> = bodies
+        .iter()
+        .map(|body| {
+            let r = request(addr, "POST", "/v1/run", body);
+            assert_eq!(r.status, 202, "{}", r.body);
+            json_str(&r.body, "job").expect("job id")
+        })
+        .collect();
+    for (id, body) in ids.iter().zip(&bodies) {
+        let done = poll_job(addr, id);
+        assert_eq!(
+            json_str(&done.body, "status").as_deref(),
+            Some("done"),
+            "{}",
+            done.body
+        );
+        assert_eq!(stats_of(&done.body), direct_stats(body), "{body}");
+    }
+
+    let r = request(
+        addr,
+        "POST",
+        "/v1/sweep",
+        r#"{"workloads":["dm"],"scales":["test"],"seeds":[11],
+            "latencies":[[16,160]],"stream":false}"#,
+    );
+    assert_eq!(r.status, 202, "{}", r.body);
+    let done = poll_sweep(addr, &json_str(&r.body, "sweep").expect("sweep id"));
+    assert_eq!(json_num(&done, "simulated"), Some(4), "{done}");
+    assert_eq!(json_num(&done, "failed"), Some(0), "{done}");
+    for model in MODELS {
+        // A sweep point's id is the job id of the equivalent run request.
+        let body = dm_body(11, model, Some((16, 160)));
+        let spec = JobSpec::from_json(body.as_bytes()).expect("spec");
+        let id = format!("{:016x}", spec.key(&spec.config().expect("config")));
+        let r = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(stats_of(&r.body), direct_stats(&body), "{body}");
+    }
+    assert_eq!(metric(addr, "hidisc_serve_sim_runs_total"), 8);
+    assert_eq!(metric(addr, "hidisc_serve_workload_builds_total"), 1);
+
+    let body = dm_body(12, "hidisc", None);
+    let r = request(addr, "POST", "/v1/run", &body);
+    assert_eq!(r.status, 202, "{}", r.body);
+    let done = poll_job(addr, &json_str(&r.body, "job").unwrap());
+    assert_eq!(stats_of(&done.body), direct_stats(&body));
+    assert_eq!(metric(addr, "hidisc_serve_workload_builds_total"), 2);
+
+    svc.shutdown();
+}
+
+/// A job without `max_cycles` or `timeout_ms` cannot have a budget
+/// sibling to share its prefix with, so it writes no warm checkpoint —
+/// even when it runs well past the checkpoint cycle. A budgeted variant
+/// of the same experiment does write one.
+#[test]
+fn unbudgeted_jobs_write_no_warm_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("hidisc-serve-nowarm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = Service::start(
+        ServeConfig::builder()
+            .workers(1)
+            .cache_dir(dir.clone())
+            .warm_checkpoint_cycle(2_000)
+            .build()
+            .expect("valid serve config"),
+    )
+    .expect("service start");
+    let addr = svc.addr();
+    let checkpoints = || {
+        std::fs::read_dir(dir.join("warm"))
+            .map(|d| d.count())
+            .unwrap_or(0)
+    };
+
+    let plain = dm_body(13, "hidisc", None);
+    let r = request(addr, "POST", "/v1/run", &plain);
+    assert_eq!(r.status, 202, "{}", r.body);
+    let done = poll_job(addr, &json_str(&r.body, "job").unwrap());
+    assert_eq!(json_str(&done.body, "status").as_deref(), Some("done"));
+    assert_eq!(stats_of(&done.body), direct_stats(&plain));
+    assert_eq!(checkpoints(), 0, "an unbudgeted job wrote a checkpoint");
+
+    let budgeted =
+        r#"{"workload":"dm","scale":"test","seed":13,"model":"hidisc","max_cycles":500000}"#;
+    let r = request(addr, "POST", "/v1/run", budgeted);
+    assert_eq!(r.status, 202, "{}", r.body);
+    let done = poll_job(addr, &json_str(&r.body, "job").unwrap());
+    assert_eq!(json_str(&done.body, "status").as_deref(), Some("done"));
+    assert_eq!(checkpoints(), 1);
+
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -253,13 +253,7 @@ pub fn sdot(p: &Params, seed: u64) -> Workload {
 
 /// All four micro-kernels.
 pub fn micro_suite(scale: crate::Scale, seed: u64) -> Vec<Workload> {
-    let p = Params::at(scale);
-    vec![
-        lll1(&p, seed),
-        convolution(&p, seed),
-        saxpy(&p, seed),
-        sdot(&p, seed),
-    ]
+    crate::build_set(crate::Set::Micro, scale, seed)
 }
 
 #[cfg(test)]
